@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from . import engine as _engine
-from .model import Problem
+from .model import Problem, _to_diag_frame
 
 ENUMERATION_CAP = 16
 DEFAULT_DELTA = 0.05
@@ -39,7 +39,7 @@ def _check_even(n: int):
 def _check_enumerable(n: int):
     _check_even(n)
     if n > ENUMERATION_CAP:
-        raise ValueError(
+        raise UnsupportedInstanceError(
             f"exhaustive enumeration is capped at n = {ENUMERATION_CAP}, got {n}; "
             "use a Monte Carlo method instead"
         )
@@ -69,28 +69,6 @@ def enumerate_balanced_patterns(n: int) -> Iterator[Tuple[int, ...]]:
 
 def pattern_count(n: int) -> int:
     return math.comb(n, n // 2)
-
-
-def _suffix_products(factors: np.ndarray) -> np.ndarray:
-    """suffix[..., i] = prod of factors strictly after position i (last = 1)."""
-    suffix = np.ones_like(factors)
-    if factors.shape[-1] > 1:
-        np.cumprod(factors[..., :0:-1], axis=-1, out=suffix[..., -2::-1])
-    return suffix
-
-
-def _tail_product_stats(a: np.ndarray, b: np.ndarray, eta: float,
-                        orderings: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per ordering: P = prod_i (1 - eta a_i) and Q = sum_j b_j prod_{i>j}(1 - eta a_i).
-
-    `orderings` holds index rows into a/b -- either component permutations or
-    {0,1} type labels indexing two-element value arrays.
-    """
-    factors = 1.0 - eta * a[orderings]
-    suffix = _suffix_products(factors)
-    p_vals = suffix[:, 0] * factors[:, 0]
-    q_vals = np.einsum("ij,ij->i", b[orderings], suffix)
-    return p_vals, q_vals
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +116,8 @@ def keyup_quantity(alphas, betas, perm) -> float:
     alphas = np.asarray(alphas, dtype=np.float64)
     betas = np.asarray(betas, dtype=np.float64)
     n = alphas.shape[0]
+    if n == 0:
+        raise ValueError("alphas must be nonempty")
     if betas.shape != (n,):
         raise ValueError("alphas and betas must have equal length")
     if np.any(alphas < 0) or np.any(alphas > 1):
@@ -149,18 +129,37 @@ def keyup_quantity(alphas, betas, perm) -> float:
     perm = np.asarray(perm, dtype=np.int64)
     if sorted(perm.tolist()) != list(range(n)):
         raise ValueError("perm is not a permutation of range(n)")
-    factors = 1.0 - alphas[perm]
-    suffix = _suffix_products(factors)
-    return float(np.dot(betas[perm], suffix))
+    _, q = _engine.tail_products(1.0 - alphas[perm], betas[perm])
+    return float(q)
 
 
-def _two_valued_rows(a: np.ndarray, b: np.ndarray):
-    """Distinct (a, b) pairs with counts, or None if more than two."""
-    pairs = np.stack([a, b], axis=1)
-    uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-    if uniq.shape[0] > 2:
-        return None
-    return uniq, counts
+def two_valued_tail_products(a, b, eta: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(P, Q) of a uniform permutation of one coordinate's (a_i, b_i) data, as
+    one value per equiprobable arrangement, exactly.
+
+    Constant data has one arrangement (closed form).  Two distinct (a, b)
+    pairs in equal counts reduce to a uniform balanced pattern, one row per
+    `_pattern_matrix(n)` row.  Other data, and n above the enumeration cap,
+    raise UnsupportedInstanceError.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    n = a.shape[0]
+    pairs, counts = np.unique(np.stack([a, b], axis=1), axis=0, return_counts=True)
+    if pairs.shape[0] == 1:
+        s = 1.0 - eta * pairs[0, 0]
+        return np.array([s**n]), pairs[0, 1] * _engine._geometric_factor([s], n)
+    if pairs.shape[0] > 2:
+        raise UnsupportedInstanceError(
+            "exact moments need <= 2 distinct (curvature, linear) pairs"
+        )
+    if counts[0] != counts[1]:
+        raise UnsupportedInstanceError(
+            "exact moments need balanced counts of the two (a, b) pairs"
+        )
+    _check_enumerable(n)
+    labels = _pattern_matrix(n)
+    return _engine.tail_products(1.0 - eta * pairs[labels, 0], pairs[labels, 1])
 
 
 def expected_keyup_square(alphas, betas) -> float:
@@ -172,21 +171,15 @@ def expected_keyup_square(alphas, betas) -> float:
     alphas = np.asarray(alphas, dtype=np.float64)
     betas = np.asarray(betas, dtype=np.float64)
     n = alphas.shape[0]
-    tv = _two_valued_rows(alphas, betas)
-    if tv is not None:
-        uniq, counts = tv
-        if uniq.shape[0] == 1:
-            perm = np.arange(n)
-            return keyup_quantity(alphas, betas, perm) ** 2
-        if counts[0] == counts[1] and n <= ENUMERATION_CAP:
-            _, q = _tail_product_stats(uniq[:, 0], uniq[:, 1], 1.0, _pattern_matrix(n))
-            return float(np.mean(q * q))
-    if n > 8:
-        raise UnsupportedInstanceError(
-            "exact expectation needs two-valued balanced data or n <= 8"
-        )
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    _, q = _tail_product_stats(alphas, betas, 1.0, perms)
+    try:
+        _, q = two_valued_tail_products(alphas, betas, 1.0)
+    except UnsupportedInstanceError:
+        if n > 8:
+            raise UnsupportedInstanceError(
+                "exact expectation needs two-valued balanced data or n <= 8"
+            ) from None
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        _, q = _engine.tail_products(1.0 - alphas[perms], betas[perms])
     return float(np.mean(q * q))
 
 
@@ -223,9 +216,8 @@ def stochastic_terms_ceiling(n: int, eta: float, lam_max: float) -> float:
 
 def _alternating_tail_values(n: int, eta: float, lam_max: float):
     """(P, Q) per balanced pattern for coefficients 1-2s and factors 1-eta*lam_max*s."""
-    a_vals = np.array([0.0, lam_max])
-    b_vals = np.array([1.0, -1.0])
-    return _tail_product_stats(a_vals, b_vals, eta, _pattern_matrix(n))
+    labels = _pattern_matrix(n)
+    return _engine.tail_products(1.0 - eta * lam_max * labels, 1.0 - 2.0 * labels)
 
 
 def sum_prod_expectation_exact(n: int, eta: float, lam_max: float) -> float:
@@ -281,9 +273,11 @@ class PermutationMoments:
     method: str = "exact"
 
     def __post_init__(self):
-        if self.e_p2 < self.e_p**2 - 1e-12:
+        # rounding slack scales with the squared mean being compared
+        if self.e_p2 < self.e_p**2 - 1e-12 * max(1.0, self.e_p**2):
             raise ValueError("E[P^2] below E[P]^2: variance would be negative")
-        if self.e_q2 < self.e_q**2 - 1e-12 - 3 * (self.se_q2 + 2 * abs(self.e_q) * self.se_q):
+        slack = 1e-12 * max(1.0, self.e_q**2) + 3 * (self.se_q2 + 2 * abs(self.e_q) * self.se_q)
+        if self.e_q2 < self.e_q**2 - slack:
             raise ValueError("E[Q^2] below E[Q]^2: variance would be negative")
 
 
@@ -297,16 +291,9 @@ class MomentState:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
         object.__setattr__(self, "second", np.asarray(self.second, dtype=np.float64))
-        if np.any(self.second < self.mean**2 - 1e-12):
+        # rounding slack scales with the squared mean being compared
+        if np.any(self.second < self.mean**2 - 1e-12 * np.maximum(1.0, self.mean**2)):
             raise ValueError("second moment below squared mean")
-
-
-def _deterministic_q(a: float, b: float, eta: float, n: int) -> float:
-    """Q when every component is (a, b): b * sum_{l<n} (1-eta*a)^l."""
-    s = 1.0 - eta * a
-    if s == 1.0:
-        return b * n
-    return b * (1.0 - s**n) / (1.0 - s)
 
 
 def permutation_moments(curvatures, linears, eta: float, method: str = "exact",
@@ -321,55 +308,38 @@ def permutation_moments(curvatures, linears, eta: float, method: str = "exact",
     n = a.shape[0]
     if b.shape != (n,):
         raise ValueError("curvatures and linears must have equal length")
+    mc_fields = {}
     if method == "exact":
-        tv = _two_valued_rows(a, b)
-        if tv is None:
-            raise UnsupportedInstanceError(
-                "exact moments need <= 2 distinct (curvature, linear) pairs"
-            )
-        uniq, counts = tv
-        if uniq.shape[0] == 1:
-            p = float((1.0 - eta * uniq[0, 0]) ** n)
-            q = _deterministic_q(uniq[0, 0], uniq[0, 1], eta, n)
-            return PermutationMoments(e_p=p, e_p2=p * p, e_q=q, e_q2=q * q, e_pq=p * q)
-        if counts[0] != counts[1]:
-            raise UnsupportedInstanceError(
-                "exact moments need balanced counts of the two (a, b) pairs"
-            )
-        _check_enumerable(n)
-        p_vals, q_vals = _tail_product_stats(uniq[:, 0], uniq[:, 1], eta, _pattern_matrix(n))
-        return PermutationMoments(
-            e_p=float(np.mean(p_vals)),
-            e_p2=float(np.mean(p_vals**2)),
-            e_q=float(np.mean(q_vals)),
-            e_q2=float(np.mean(q_vals**2)),
-            e_pq=float(np.mean(p_vals * q_vals)),
-        )
-    if method == "monte-carlo":
+        p_vals, q_vals = two_valued_tail_products(a, b, eta)
+    elif method == "monte-carlo":
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         p_parts, q_parts = [], []
         left = int(samples)
         while left > 0:
             chunk = min(left, 65536)
             orderings = np.argsort(rng.random((chunk, n)), axis=1)
-            p_vals, q_vals = _tail_product_stats(a, b, eta, orderings)
+            p_vals, q_vals = _engine.tail_products(1.0 - eta * a[orderings], b[orderings])
             p_parts.append(p_vals)
             q_parts.append(q_vals)
             left -= chunk
         p_vals = np.concatenate(p_parts)
         q_vals = np.concatenate(q_parts)
         m = p_vals.shape[0]
-        return PermutationMoments(
-            e_p=float(np.mean(p_vals)),
-            e_p2=float(np.mean(p_vals**2)),
-            e_q=float(np.mean(q_vals)),
-            e_q2=float(np.mean(q_vals**2)),
-            e_pq=float(np.mean(p_vals * q_vals)),
+        mc_fields = dict(
             se_q=float(np.std(q_vals, ddof=1) / math.sqrt(m)),
             se_q2=float(np.std(q_vals**2, ddof=1) / math.sqrt(m)),
             method="monte-carlo",
         )
-    raise ValueError(f"unknown method {method!r}; use 'exact' or 'monte-carlo'")
+    else:
+        raise ValueError(f"unknown method {method!r}; use 'exact' or 'monte-carlo'")
+    return PermutationMoments(
+        e_p=float(np.mean(p_vals)),
+        e_p2=float(np.mean(p_vals**2)),
+        e_q=float(np.mean(q_vals)),
+        e_q2=float(np.mean(q_vals**2)),
+        e_pq=float(np.mean(p_vals * q_vals)),
+        **mc_fields,
+    )
 
 
 def _coordinate_moments(p: Problem, eta: float, method: str, samples: int,
@@ -398,13 +368,6 @@ def evolve_moment_state(state: MomentState, moments: Sequence[PermutationMoments
     return MomentState(mean=mean, second=second)
 
 
-def _diag_x0(p: Problem, x0) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (p.dim,):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({p.dim},)")
-    return x0 if p.conjugation is None else p.conjugation.T @ x0
-
-
 def _loss_from_moments(p: Problem, state: MomentState) -> float:
     a_bar = p.mean_curvature
     b_bar = p.mean_linear
@@ -421,7 +384,7 @@ def expected_loss_rr_analytic(p: Problem, eta: float, k: int, x0,
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    y0 = _diag_x0(p, x0)
+    y0 = _to_diag_frame(p, x0)
     moments = _coordinate_moments(p, eta, method, samples, seed)
     state = MomentState(mean=y0.copy(), second=y0 * y0)
     for _ in range(k):
@@ -429,23 +392,19 @@ def expected_loss_rr_analytic(p: Problem, eta: float, k: int, x0,
     return _loss_from_moments(p, state)
 
 
-def _geom(s: float, t: int) -> float:
-    return float(t) if s == 1.0 else (1.0 - s**t) / (1.0 - s)
-
-
 def expected_loss_ss_exact(p: Problem, eta: float, k: int, x0) -> float:
     """Exact E[F(x_k)] under single shuffling: average the closed form over
     the shared permutation, coordinate by coordinate."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    y0 = _diag_x0(p, x0)
+    y0 = _to_diag_frame(p, x0)
     moments = _coordinate_moments(p, eta, "exact", 0, 0)
     a_bar = p.mean_curvature
     b_bar = p.mean_linear
     total = 0.0
     for j in range(p.dim):
         s = float(np.prod(1.0 - eta * p.curvature_matrix[:, j]))
-        g = _geom(s, k)
+        g = float(_engine._geometric_factor(s, k))
         m = moments[j]
         mean = s**k * y0[j] + eta * g * m.e_q
         second = (
@@ -463,7 +422,7 @@ def expected_loss_ss_formula(n: int, k: int, eta: float, G: float, lam: float,
     decay of both coordinates plus the beta variance term."""
     x0 = np.asarray(x0, dtype=np.float64)
     s_epoch = (1.0 - eta * lam_max) ** n
-    ratio = _geom(s_epoch, k)
+    ratio = float(_engine._geometric_factor(s_epoch, k))
     beta = beta_exact(n, eta, lam_max)
     return float(
         0.5 * lam * (1.0 - eta * lam) ** (2 * n * k) * x0[0] ** 2
@@ -473,10 +432,8 @@ def expected_loss_ss_formula(n: int, k: int, eta: float, G: float, lam: float,
 
 
 def derive_run_seed(master_seed: int, index: int) -> int:
-    """Documented splitting rule: first uint64 word of
-    SeedSequence(entropy=master_seed, spawn_key=(index,))."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """`engine.derive_seed` of master_seed with spawn key (index,)."""
+    return _engine.derive_seed(master_seed, (index,))
 
 
 def mc_expected_loss(p: Problem, scheme: "_engine.Scheme", eta: float, k: int, x0,

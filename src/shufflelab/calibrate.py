@@ -77,17 +77,6 @@ def _shape_data(shape: str, n: int, alpha: float):
     return alphas, betas
 
 
-def _pattern_q_stats(alphas, betas):
-    """Exact (E|Q|, E[Q^2]) for two-valued balanced data via enumeration."""
-    tv = analysis._two_valued_rows(np.asarray(alphas, float), np.asarray(betas, float))
-    uniq, counts = tv
-    n = len(alphas)
-    _, q = analysis._tail_product_stats(
-        uniq[:, 0], uniq[:, 1], 1.0, analysis._pattern_matrix(n)
-    )
-    return float(np.mean(np.abs(q))), float(np.mean(q * q))
-
-
 def measure_constants(delta: float = DEFAULT_DELTA) -> Dict[str, dict]:
     """Sweep the enumeration grid and record every envelope ratio extreme."""
     beta_lo, beta_hi = math.inf, -math.inf
@@ -103,7 +92,8 @@ def measure_constants(delta: float = DEFAULT_DELTA) -> Dict[str, dict]:
             for shape in ("equal", "half-zero"):
                 alphas, betas = _shape_data(shape, n, alpha)
                 abar = float(np.mean(alphas))
-                e_abs, e_sq = _pattern_q_stats(alphas, betas)
+                _, q = analysis.two_valued_tail_products(alphas, betas, 1.0)
+                e_abs, e_sq = float(np.mean(np.abs(q))), float(np.mean(q * q))
                 keyup_hi = max(keyup_hi, e_sq / keyup_square_envelope(n, abar, delta))
                 if n * abar <= 0.5:
                     c2_hi = max(c2_hi, e_sq / rv_sq_envelope(n, abar))

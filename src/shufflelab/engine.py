@@ -14,7 +14,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -96,6 +96,15 @@ def recommended_eta(n: int, k: int, lam: float) -> float:
     return math.log(nk) / (lam * nk)
 
 
+def derive_seed(entropy: int, spawn_key: tuple) -> int:
+    """The one seed-derivation rule: the first uint64 word of
+    SeedSequence(entropy, spawn_key).  Sweeps and Monte Carlo estimates
+    derive every run seed through it, so each seed stays a pure function of
+    the master seed and the run's key."""
+    ss = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
 def sample_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform permutation of range(n) by high-to-low Fisher-Yates.
 
@@ -140,8 +149,7 @@ def run_sgd(p: Problem, cfg: RunConfig, perm_log: Optional[list] = None) -> Traj
     reshuffling draws a fresh permutation.  `perm_log`, when given, collects
     every sampled index sequence (for scheme-separation checks).
     """
-    if cfg.x0.shape != (p.dim,):
-        raise ValueError(f"x0 has shape {cfg.x0.shape}, expected ({p.dim},)")
+    model._to_diag_frame(p, cfg.x0)  # shape check only: steps run in the outer frame
     _warn_if_large_eta(p, cfg.eta)
     rng = np.random.default_rng(cfg.seed)
     fixed_perm = None
@@ -171,6 +179,20 @@ def run_sgd(p: Problem, cfg: RunConfig, perm_log: Optional[list] = None) -> Traj
     )
 
 
+def tail_products(factors: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The epoch's tail product, reduced over the last axis.
+
+    P = prod_i factors[..., i] and Q = sum_j b[..., j] * prod_{i>j} factors[..., i];
+    every leading axis is a batch axis.  This is the one suffix-product kernel
+    behind the epoch maps and the permutation oracles.  Transposed inputs
+    should be passed as views: a contiguous copy changes the rounding.
+    """
+    # suffix[..., i] = prod of factors strictly after position i
+    suffix = np.ones_like(factors)
+    np.cumprod(factors[..., :0:-1], axis=-1, out=suffix[..., -2::-1])
+    return suffix[..., 0] * factors[..., 0], np.einsum("...i,...i->...", b, suffix)
+
+
 def sequence_map(p: Problem, seq, eta: float) -> EpochMap:
     """Affine epoch summary for an arbitrary index sequence, diagonal frame.
 
@@ -180,12 +202,7 @@ def sequence_map(p: Problem, seq, eta: float) -> EpochMap:
     """
     seq = np.asarray(seq, dtype=np.int64)
     factors = 1.0 - eta * p.curvature_matrix[seq]  # (n, d)
-    b = p.linear_matrix[seq]
-    # suffix[i] = prod of factors strictly after position i
-    suffix = np.ones_like(factors)
-    np.cumprod(factors[:0:-1], axis=0, out=suffix[-2::-1])
-    contraction = suffix[0] * factors[0]
-    noise = np.einsum("ij,ij->j", b, suffix)
+    contraction, noise = tail_products(factors.T, p.linear_matrix[seq].T)
     return EpochMap(contraction=contraction, noise=noise)
 
 
@@ -217,12 +234,10 @@ def run_sgd_closed_form(p: Problem, cfg: RunConfig,
     Only end-of-epoch iterates exist here; per-step history (store_all)
     requires run_sgd.
     """
-    if cfg.x0.shape != (p.dim,):
-        raise ValueError(f"x0 has shape {cfg.x0.shape}, expected ({p.dim},)")
+    y0 = model._to_diag_frame(p, cfg.x0)
     _warn_if_large_eta(p, cfg.eta)
     rng = np.random.default_rng(cfg.seed)
     O = p.conjugation
-    y0 = cfg.x0 if O is None else O.T @ cfg.x0
     k = cfg.epochs
     ys = np.empty((k, p.dim))
     if cfg.scheme is Scheme.SINGLE_SHUFFLE:

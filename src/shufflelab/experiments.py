@@ -116,25 +116,6 @@ def paper_plan(construction: str, seed_base: int = 0) -> SweepPlan:
     )
 
 
-def _rr_fig1_problem(n: int, G: float, lam: float, lam_max: float) -> model.Problem:
-    """The 3-d construction restricted to its first and third coordinates.
-
-    The dropped middle coordinate duplicates the 2-d construction's steep
-    coordinate, so the reduced problem keeps the reshuffling-specific
-    dynamics while staying visually distinct from the 2-d experiment.
-    """
-    comps = []
-    for i in range(n):
-        if i < n // 2:
-            comps.append(model.Component(curvatures=(lam, lam_max), linear=(0.0, -G / 2.0)))
-        else:
-            comps.append(model.Component(curvatures=(lam, 0.0), linear=(0.0, G / 2.0)))
-    return model.Problem(
-        components=tuple(comps), dim=2, lam=lam, lam_max=lam_max,
-        smooth_l=lam_max, grad_bound=G,
-    )
-
-
 def build_instance(construction: str, x0_preset: str, n: int, G: float,
                    lam: float, lam_max: float) -> Tuple[model.Problem, np.ndarray]:
     """Problem plus initialization for a (construction, preset) pair.
@@ -144,16 +125,14 @@ def build_instance(construction: str, x0_preset: str, n: int, G: float,
     coordinates.
     """
     if construction == "ss":
-        p = model.build_ss_construction(n, G, lam, lam_max)
-        return p, model.preset_x0("ss", x0_preset, G, lam, lam_max)
-    if construction == "rr":
-        if x0_preset == "fig1":
-            return _rr_fig1_problem(n, G, lam, lam_max), model.preset_x0(
-                "rr", "fig1", G, lam, lam_max
-            )
-        p = model.build_rr_construction(n, G, lam, lam_max)
-        return p, model.preset_x0("rr", x0_preset, G, lam, lam_max)
-    raise ValueError("construction must be 'ss' or 'rr'")
+        build = model.build_ss_construction
+    elif construction == "rr":
+        build = (model.build_rr_fig1_construction if x0_preset == "fig1"
+                 else model.build_rr_construction)
+    else:
+        raise ValueError("construction must be 'ss' or 'rr'")
+    return (build(n, G, lam, lam_max),
+            model.preset_x0(construction, x0_preset, G, lam, lam_max))
 
 
 def resolve_problem(plan: SweepPlan) -> Tuple[model.Problem, np.ndarray]:
@@ -181,14 +160,11 @@ class SweepSummary:
 
 
 def run_seed_for(plan: SweepPlan, scheme_tag: str, k: int, seed_index: int) -> int:
-    """First uint64 word of SeedSequence(seed_base, spawn_key=...); the spawn
-    key is (scheme_code, k, seed_index), or (k, seed_index) when coupled."""
+    """`engine.derive_seed` of seed_base with spawn key (scheme_code, k,
+    seed_index), or (k, seed_index) when coupled."""
     if plan.couple_rng:
-        key: tuple = (k, seed_index)
-    else:
-        key = (SCHEME_ORDER.index(scheme_tag), k, seed_index)
-    ss = np.random.SeedSequence(entropy=plan.seed_base, spawn_key=key)
-    return int(ss.generate_state(1, np.uint64)[0])
+        return engine.derive_seed(plan.seed_base, (k, seed_index))
+    return engine.derive_seed(plan.seed_base, (SCHEME_ORDER.index(scheme_tag), k, seed_index))
 
 
 def _clamped_log10(loss: float) -> float:

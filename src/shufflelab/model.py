@@ -12,6 +12,7 @@ constructions are stored as b = -G/2 (the minus-b parameterization above).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,22 +30,30 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _frozen_rows(curvatures, linear, ndim: int) -> tuple:
+    """Frozen copies of curvature and linear data: equal shapes, `ndim` axes,
+    nonnegative curvatures."""
+    curvatures, linear = _frozen_array(curvatures), _frozen_array(linear)
+    if curvatures.ndim != ndim or linear.ndim != ndim:
+        raise ValueError(f"curvature and linear data must be {ndim}-D")
+    if curvatures.shape != linear.shape:
+        raise ValueError("curvature and linear data must have equal shapes")
+    if np.any(curvatures < 0):
+        raise ValueError("component curvatures must be nonnegative")
+    return curvatures, linear
+
+
 @dataclass(frozen=True)
 class Component:
-    """One summand: diagonal curvatures a_j >= 0 and linear terms b_j."""
+    """One summand's row: diagonal curvatures a_j >= 0 and linear terms b_j."""
 
     curvatures: np.ndarray
     linear: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "curvatures", _frozen_array(self.curvatures))
-        object.__setattr__(self, "linear", _frozen_array(self.linear))
-        if self.curvatures.ndim != 1 or self.linear.ndim != 1:
-            raise ValueError("component data must be 1-D")
-        if self.curvatures.shape != self.linear.shape:
-            raise ValueError("curvatures and linear must have equal length")
-        if np.any(self.curvatures < 0):
-            raise ValueError("component curvatures must be nonnegative")
+        curvatures, linear = _frozen_rows(self.curvatures, self.linear, 1)
+        object.__setattr__(self, "curvatures", curvatures)
+        object.__setattr__(self, "linear", linear)
 
     @property
     def dim(self) -> int:
@@ -61,30 +70,31 @@ class Minimizer:
 class Problem:
     """Immutable finite-sum quadratic F(x) = (1/n) sum_i f_i(x).
 
-    Metadata: lam / lam_max bracket the eigenvalues of the mean curvature
-    matrix A, smooth_l bounds every per-component curvature, grad_bound is
-    the G of the gradient conditions.  `conjugation` (if present) is the
-    orthogonal O defining the rotated problem; data stays diagonal.
+    Row i of the (n, dim) curvature_matrix and linear_matrix holds component
+    i's a_i and b_i.  Metadata: lam / lam_max bracket the eigenvalues of the
+    mean curvature matrix A, smooth_l bounds every per-component curvature,
+    grad_bound is the G of the gradient conditions.  `conjugation` (if
+    present) is the orthogonal O defining the rotated problem; data stays
+    diagonal.
     """
 
-    components: tuple
-    dim: int
+    curvature_matrix: np.ndarray
+    linear_matrix: np.ndarray
     lam: float
     lam_max: float
     smooth_l: float
     grad_bound: float
     conjugation: Optional[np.ndarray] = None
-    # cached stacked views, built in __post_init__
-    curvature_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    linear_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    # column means, computed once in __post_init__
+    mean_curvature: np.ndarray = field(init=False, repr=False, compare=False)
+    mean_linear: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        object.__setattr__(self, "components", comps)
-        if len(comps) <= 1:
+        cm, lm = _frozen_rows(self.curvature_matrix, self.linear_matrix, 2)
+        object.__setattr__(self, "curvature_matrix", cm)
+        object.__setattr__(self, "linear_matrix", lm)
+        if self.n <= 1:
             raise ValueError("a finite-sum problem needs n > 1 components")
-        if any(c.dim != self.dim for c in comps):
-            raise ValueError("all components must have dimension dim")
         if not (self.lam > 0 and self.lam_max > 0 and self.smooth_l > 0):
             raise ValueError("lam, lam_max and smooth_l must be positive")
         if self.grad_bound < 0:
@@ -97,10 +107,10 @@ class Problem:
                 raise ValueError("conjugation matrix is not orthogonal")
             o.flags.writeable = False
             object.__setattr__(self, "conjugation", o)
-        cm = _frozen_array([c.curvatures for c in comps])
-        lm = _frozen_array([c.linear for c in comps])
-        object.__setattr__(self, "curvature_matrix", cm)
-        object.__setattr__(self, "linear_matrix", lm)
+        for name, matrix in (("mean_curvature", cm), ("mean_linear", lm)):
+            mean = matrix.mean(axis=0)
+            mean.flags.writeable = False
+            object.__setattr__(self, name, mean)
         self._check_invariants()
 
     def _check_invariants(self):
@@ -125,15 +135,11 @@ class Problem:
 
     @property
     def n(self) -> int:
-        return len(self.components)
+        return self.curvature_matrix.shape[0]
 
     @property
-    def mean_curvature(self) -> np.ndarray:
-        return self.curvature_matrix.mean(axis=0)
-
-    @property
-    def mean_linear(self) -> np.ndarray:
-        return self.linear_matrix.mean(axis=0)
+    def dim(self) -> int:
+        return self.curvature_matrix.shape[1]
 
     def minimizer(self) -> Minimizer:
         """Global minimizer x* = A^{-1} b, mapped out of the diagonal frame."""
@@ -154,8 +160,8 @@ class Problem:
             "smooth_l": self.smooth_l,
             "grad_bound": self.grad_bound,
             "components": [
-                {"curvatures": c.curvatures.tolist(), "linear": c.linear.tolist()}
-                for c in self.components
+                {"curvatures": a.tolist(), "linear": b.tolist()}
+                for a, b in zip(self.curvature_matrix, self.linear_matrix)
             ],
         }
         if self.conjugation is not None:
@@ -168,15 +174,15 @@ def _is_orthogonal(o: np.ndarray, tol: float = ORTHOGONALITY_TOL) -> bool:
 
 
 def problem_from_json_dict(doc: dict) -> Problem:
-    comps = tuple(
-        Component(curvatures=c["curvatures"], linear=c["linear"])
-        for c in doc["components"]
-    )
-    if len(comps) != doc["n"]:
+    rows = [Component(curvatures=c["curvatures"], linear=c["linear"])
+            for c in doc["components"]]
+    if len(rows) != doc["n"]:
         raise ValueError("component count does not match n")
+    if any(r.dim != doc["dim"] for r in rows):
+        raise ValueError("all components must have dimension dim")
     return Problem(
-        components=comps,
-        dim=doc["dim"],
+        curvature_matrix=[r.curvatures for r in rows],
+        linear_matrix=[r.linear for r in rows],
         lam=doc["lambda"],
         lam_max=doc["lambda_max"],
         smooth_l=doc["smooth_l"],
@@ -204,6 +210,21 @@ def _check_construction_args(n: int, G: float, lam: float, lam_max: float):
         raise ValueError(f"lam_max={lam_max} must be >= lam={lam}")
 
 
+def _two_type_problem(n: int, G: float, lam: float, lam_max: float,
+                      first: tuple, rest: tuple) -> Problem:
+    """The first n/2 rows take (a, b) = `first`, the rest take (a', b') = `rest`."""
+    _check_construction_args(n, G, lam, lam_max)
+    rows = (first,) * (n // 2) + (rest,) * (n // 2)
+    return Problem(
+        curvature_matrix=[a for a, _ in rows],
+        linear_matrix=[b for _, b in rows],
+        lam=lam,
+        lam_max=lam_max,
+        smooth_l=lam_max,
+        grad_bound=G,
+    )
+
+
 def build_ss_construction(n: int, G: float, lam: float, lam_max: float) -> Problem:
     """Two-dimensional single-shuffling worst case.
 
@@ -211,19 +232,9 @@ def build_ss_construction(n: int, G: float, lam: float, lam_max: float) -> Probl
     components add +(G/2) x_2 (stored b_2 = -G/2) and the rest subtract it,
     so the mean linear term vanishes, x* is the origin and F(x*) = 0.
     """
-    _check_construction_args(n, G, lam, lam_max)
-    comps = []
-    for i in range(n):
-        sign = -1.0 if i < n // 2 else 1.0
-        comps.append(Component(curvatures=(lam, lam_max), linear=(0.0, sign * G / 2.0)))
-    return Problem(
-        components=tuple(comps),
-        dim=2,
-        lam=lam,
-        lam_max=lam_max,
-        smooth_l=lam_max,
-        grad_bound=G,
-    )
+    return _two_type_problem(n, G, lam, lam_max,
+                             ((lam, lam_max), (0.0, -G / 2.0)),
+                             ((lam, lam_max), (0.0, G / 2.0)))
 
 
 def build_rr_construction(n: int, G: float, lam: float, lam_max: float) -> Problem:
@@ -236,75 +247,53 @@ def build_rr_construction(n: int, G: float, lam: float, lam_max: float) -> Probl
     Requires lam_max >= 2*lam, otherwise the mean curvature of coordinate 3
     drops below lam and F is no longer lam-strongly convex.
     """
-    _check_construction_args(n, G, lam, lam_max)
     if lam_max < 2.0 * lam:
         raise ValueError(
             "the 3-d construction needs lam_max >= 2*lam for lam-strong convexity "
             f"(got lam={lam}, lam_max={lam_max})"
         )
-    comps = []
-    for i in range(n):
-        if i < n // 2:
-            comps.append(
-                Component(
-                    curvatures=(lam, lam_max, lam_max),
-                    linear=(0.0, -G / 2.0, -G / 2.0),
-                )
-            )
-        else:
-            comps.append(
-                Component(curvatures=(lam, lam_max, 0.0), linear=(0.0, G / 2.0, G / 2.0))
-            )
-    return Problem(
-        components=tuple(comps),
-        dim=3,
-        lam=lam,
-        lam_max=lam_max,
-        smooth_l=lam_max,
-        grad_bound=G,
-    )
+    return _two_type_problem(n, G, lam, lam_max,
+                             ((lam, lam_max, lam_max), (0.0, -G / 2.0, -G / 2.0)),
+                             ((lam, lam_max, 0.0), (0.0, G / 2.0, G / 2.0)))
 
 
-def _to_diag_frame(p: Problem, x: np.ndarray) -> np.ndarray:
+def build_rr_fig1_construction(n: int, G: float, lam: float, lam_max: float) -> Problem:
+    """The 3-d construction restricted to its first and third coordinates.
+
+    The dropped middle coordinate duplicates the 2-d construction's steep
+    coordinate, so the reduced problem keeps the reshuffling-specific
+    dynamics while staying visually distinct from the 2-d experiment.
+    """
+    return _two_type_problem(n, G, lam, lam_max,
+                             ((lam, lam_max), (0.0, -G / 2.0)),
+                             ((lam, 0.0), (0.0, G / 2.0)))
+
+
+def _to_diag_frame(p: Problem, x) -> np.ndarray:
+    """x as a float array of shape (dim,), mapped into the diagonal frame (O^T x)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (p.dim,):
+        raise ValueError(f"x has shape {x.shape}, expected ({p.dim},)")
     return x if p.conjugation is None else p.conjugation.T @ x
 
 
 def objective(p: Problem, x) -> float:
     """F(x), evaluated through the diagonal frame when a conjugation is set."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (p.dim,):
-        raise ValueError(f"x has shape {x.shape}, expected ({p.dim},)")
     y = _to_diag_frame(p, x)
-    a_bar = p.mean_curvature
-    b_bar = p.mean_linear
-    return float(0.5 * np.dot(a_bar, y * y) - np.dot(b_bar, y))
-
-
-def component_objective(p: Problem, i: int, x) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = _to_diag_frame(p, x)
-    c = p.components[i]
-    return float(0.5 * np.dot(c.curvatures, y * y) - np.dot(c.linear, y))
+    return float(0.5 * np.dot(p.mean_curvature, y * y) - np.dot(p.mean_linear, y))
 
 
 def component_gradient(p: Problem, i: int, x) -> np.ndarray:
     """grad f_i(x); under conjugation O * grad ftilde_i(O^T x).  0-based i."""
     if not 0 <= i < p.n:
         raise ValueError(f"component index {i} out of range [0, {p.n})")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (p.dim,):
-        raise ValueError(f"x has shape {x.shape}, expected ({p.dim},)")
     y = _to_diag_frame(p, x)
-    c = p.components[i]
-    g = c.curvatures * y - c.linear
+    g = p.curvature_matrix[i] * y - p.linear_matrix[i]
     return g if p.conjugation is None else p.conjugation @ g
 
 
 def gradient(p: Problem, x) -> np.ndarray:
     """grad F(x) = mean over components of grad f_i(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (p.dim,):
-        raise ValueError(f"x has shape {x.shape}, expected ({p.dim},)")
     y = _to_diag_frame(p, x)
     g = p.mean_curvature * y - p.mean_linear
     return g if p.conjugation is None else p.conjugation @ g
@@ -393,24 +382,16 @@ def conjugate(p: Problem, O) -> Problem:
     if not _is_orthogonal(O):
         raise ValueError("O is not orthogonal to 1e-12")
     combined = O if p.conjugation is None else O @ p.conjugation
-    return Problem(
-        components=p.components,
-        dim=p.dim,
-        lam=p.lam,
-        lam_max=p.lam_max,
-        smooth_l=p.smooth_l,
-        grad_bound=p.grad_bound,
-        conjugation=combined,
-    )
+    return dataclasses.replace(p, conjugation=combined)
 
 
 def dense_component_matrices(p: Problem, i: int) -> tuple:
     """(A_i, b_i) as dense arrays in the outer frame, for cross-checks."""
-    c = p.components[i]
+    a, b = p.curvature_matrix[i], p.linear_matrix[i]
     if p.conjugation is None:
-        return np.diag(c.curvatures), c.linear.copy()
+        return np.diag(a), b.copy()
     O = p.conjugation
-    return O @ np.diag(c.curvatures) @ O.T, O @ c.linear
+    return O @ np.diag(a) @ O.T, O @ b
 
 
 # Named initializations from the two analyses of the constructions.  No single

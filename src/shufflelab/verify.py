@@ -148,10 +148,9 @@ def random_problem(rng: np.random.Generator, max_n: int = 8, max_d: int = 3,
         if np.all(curv[:, j] == 0.0):
             curv[int(rng.integers(0, n)), j] = rng.uniform(0.2, 2.0)
     lin = rng.uniform(-1.0, 1.0, (n, d))
-    comps = tuple(model.Component(curvatures=curv[i], linear=lin[i]) for i in range(n))
     mean_curv = curv.mean(axis=0)
     p = model.Problem(
-        components=comps, dim=d, lam=float(np.min(mean_curv)),
+        curvature_matrix=curv, linear_matrix=lin, lam=float(np.min(mean_curv)),
         lam_max=float(np.max(mean_curv)), smooth_l=float(np.max(curv)),
         grad_bound=1.0,
     )

@@ -149,6 +149,10 @@ class TestKeyup:
         with pytest.raises(ValueError):
             keyup_quantity([1.2, 0.0], [1.0, -1.0], [0, 1])
 
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError):
+            keyup_quantity([], [], [])
+
     def test_expected_square_matches_beta_for_equal_alphas(self):
         for n, alpha in ((4, 0.2), (8, 0.6)):
             alphas = np.full(n, alpha)
@@ -264,6 +268,35 @@ class TestPermutationMoments:
     def test_moment_state_guards_variance(self):
         with pytest.raises(ValueError):
             MomentState(mean=[2.0], second=[1.0])
+
+
+class TestScaleAwareTolerances:
+    """Variance guards must not reject valid input whose rounding error
+    exceeds an absolute 1e-12 only because its magnitudes are large."""
+
+    def test_rr_analytic_accepts_large_gradient_bound(self):
+        eta = engine.recommended_eta(6, 5, 1.0)
+        losses = {}
+        for G in (1.0, 1e4):
+            p = model.build_rr_construction(6, G, 1.0, 2.0)
+            x0 = model.preset_x0("rr", "worst-case", G, 1.0, 2.0)
+            assert model.validate_assumptions(p, x0, 5).all_passed
+            losses[G] = expected_loss_rr_analytic(p, eta, 5, x0)
+        # every term is quadratic in (x0, b), both proportional to G
+        assert losses[1e4] == pytest.approx(1e8 * losses[1.0], rel=1e-12)
+
+    def test_constant_q_accepted_at_large_linear_terms(self):
+        # flat coordinate: Q = sum(b) for every pattern, so Var[Q] = 0 up to rounding
+        b = np.repeat([8.292244049818343, -40.057621892523045], 4)
+        m = permutation_moments(np.zeros(8), b, 0.1)
+        assert m.e_q == pytest.approx(float(np.sum(b)), rel=1e-14)
+        assert m.e_q2 == pytest.approx(m.e_q**2, rel=1e-14)
+
+    def test_negative_variance_still_rejected_at_scale(self):
+        with pytest.raises(ValueError):
+            MomentState(mean=[1e4], second=[0.999 * 1e8])
+        with pytest.raises(ValueError):
+            analysis.PermutationMoments(e_p=1e3, e_p2=0.999e6, e_q=0.0, e_q2=0.0, e_pq=0.0)
 
 
 class TestExpectedLossRR:

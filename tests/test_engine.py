@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shufflelab import engine, model
+from shufflelab import analysis, engine, experiments, model
 from shufflelab.engine import (
     RunConfig,
     Scheme,
@@ -19,9 +20,8 @@ from shufflelab.verify import random_problem, random_rotation, trajectory_discre
 
 def two_point_problem() -> model.Problem:
     """n=2, 1-d, curvatures (1,1), linear (1,-1)."""
-    comps = (model.Component([1.0], [1.0]), model.Component([1.0], [-1.0]))
-    return model.Problem(components=comps, dim=1, lam=1.0, lam_max=1.0,
-                         smooth_l=1.0, grad_bound=2.0)
+    return model.Problem(curvature_matrix=[[1.0], [1.0]], linear_matrix=[[1.0], [-1.0]],
+                         lam=1.0, lam_max=1.0, smooth_l=1.0, grad_bound=2.0)
 
 
 class TestRecommendedEta:
@@ -228,10 +228,9 @@ class TestClosedForm:
 
     def test_zero_curvature_coordinate_takes_limit_branch(self):
         # flat balanced coordinate: S == 1 exactly, x_k = x0 + eta*k*X with X = sum b = 0
-        comps = (model.Component([1.0, 0.0], [0.0, 0.5]),
-                 model.Component([1.0, 0.0], [0.0, -0.5]))
-        p = model.Problem(components=comps, dim=2, lam=1.0, lam_max=1.0,
-                          smooth_l=1.0, grad_bound=1.0)
+        p = model.Problem(curvature_matrix=[[1.0, 0.0], [1.0, 0.0]],
+                          linear_matrix=[[0.0, 0.5], [0.0, -0.5]],
+                          lam=1.0, lam_max=1.0, smooth_l=1.0, grad_bound=1.0)
         cfg = RunConfig(scheme=Scheme.SINGLE_SHUFFLE, eta=0.1, epochs=5, x0=[1.0, 2.0], seed=0)
         traj = run_sgd_closed_form(p, cfg)
         m = epoch_map(p, [0, 1], 0.1)
@@ -261,6 +260,53 @@ class TestClosedForm:
                 err = np.linalg.norm(rot.points[t] - O @ base.points[t])
                 assert err <= 1e-9 * (1.0 + np.linalg.norm(base.points[t]))
             np.testing.assert_allclose(rot.losses, base.losses, rtol=1e-10, atol=1e-300)
+
+
+class TestTailProducts:
+    def test_batch_axes_match_row_by_row(self):
+        rng = np.random.default_rng(17)
+        for shape in ((3, 2, 7), (4, 1, 2), (2, 3, 1)):
+            factors = rng.uniform(-1.0, 1.0, shape)
+            b = rng.normal(size=shape)
+            P, Q = engine.tail_products(factors, b)
+            assert P.shape == Q.shape == shape[:-1]
+            for i in range(shape[0]):
+                for j in range(shape[1]):
+                    p_row, q_row = engine.tail_products(factors[i, j], b[i, j])
+                    assert P[i, j] == p_row and Q[i, j] == q_row
+
+    def test_matches_direct_sums(self):
+        factors = np.array([0.5, 0.25, 2.0])
+        b = np.array([1.0, -3.0, 4.0])
+        P, Q = engine.tail_products(factors, b)
+        assert P == 0.25
+        assert Q == 1.0 * 0.25 * 2.0 - 3.0 * 2.0 + 4.0
+
+
+class TestSeedRule:
+    @staticmethod
+    def first_word(entropy, key):
+        ss = np.random.SeedSequence(entropy=entropy, spawn_key=key)
+        return int(ss.generate_state(1, np.uint64)[0])
+
+    def test_derive_run_seed(self):
+        for master in (0, 7, 101, 102):
+            for index in (0, 1, 19999):
+                assert analysis.derive_run_seed(master, index) == self.first_word(
+                    master, (index,)
+                )
+
+    def test_run_seed_for_both_key_shapes(self):
+        for base in (0, 101, 102):
+            for couple in (False, True):
+                plan = dataclasses.replace(experiments.desk_plan("ss", seed_base=base),
+                                           couple_rng=couple)
+                for code, tag in enumerate(experiments.SCHEME_ORDER):
+                    for k, s in ((10, 0), (400, 99)):
+                        key = (k, s) if couple else (code, k, s)
+                        assert experiments.run_seed_for(plan, tag, k, s) == self.first_word(
+                            base, key
+                        )
 
 
 class TestTrajectoryCsv:

@@ -27,8 +27,8 @@ class TestConstructions:
     def test_ss_layout(self):
         p = build_ss_construction(4, 1.0, 1.0, 2.0)
         assert p.n == 4 and p.dim == 2
-        for c in p.components:
-            np.testing.assert_array_equal(c.curvatures, [1.0, 2.0])
+        for row in p.curvature_matrix:
+            np.testing.assert_array_equal(row, [1.0, 2.0])
         np.testing.assert_array_equal(p.linear_matrix[:, 1], [-0.5, -0.5, 0.5, 0.5])
         np.testing.assert_array_equal(p.mean_linear, [0.0, 0.0])
         np.testing.assert_array_equal(p.mean_curvature, [1.0, 2.0])
@@ -107,8 +107,8 @@ class TestObjectiveAndGradients:
 
     def test_component_stationary_point(self):
         p = build_rr_construction(4, 1.0, 1.0, 2.0)
-        c = p.components[0]
-        x = np.where(c.curvatures > 0, c.linear / np.where(c.curvatures > 0, c.curvatures, 1.0), 0.0)
+        a, b = p.curvature_matrix[0], p.linear_matrix[0]
+        x = np.where(a > 0, b / np.where(a > 0, a, 1.0), 0.0)
         # coordinate 3 has zero curvature but nonzero linear term: gradient -b there
         g = component_gradient(p, 0, x)
         np.testing.assert_allclose(g[:2], 0.0, atol=1e-15)
@@ -255,10 +255,9 @@ class TestInvariants:
             Component(curvatures=[-0.1], linear=[0.0])
 
     def test_problem_rejects_weak_mean_curvature(self):
-        comps = (Component([0.1], [0.0]), Component([0.1], [0.0]))
         with pytest.raises(ValueError):
-            Problem(components=comps, dim=1, lam=1.0, lam_max=1.0,
-                    smooth_l=1.0, grad_bound=1.0)
+            Problem(curvature_matrix=[[0.1], [0.1]], linear_matrix=[[0.0], [0.0]],
+                    lam=1.0, lam_max=1.0, smooth_l=1.0, grad_bound=1.0)
 
     def test_problem_is_immutable(self):
         p = build_ss_construction(4, 1.0, 1.0, 2.0)
