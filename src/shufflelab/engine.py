@@ -2,10 +2,18 @@
 
 RNG contract: all randomness comes from numpy's PCG64 generator seeded with
 the run seed.  Permutations use Fisher-Yates sweeping indices high to low,
-with the n-1 bounded draws taken in a single vectorized `integers` call; the
-with-replacement scheme draws one uniform index array of length n per epoch.
-The identifier below names that consumption scheme and is echoed in every
-trajectory so outputs can be traced to the generator contract.
+with the n-1 bounded draws j_i ~ U{0..i} (i = n-1..1) taken in a single
+vectorized `integers` call; the with-replacement scheme draws one uniform
+index array of length n per epoch.  The identifier below names that
+consumption scheme and is echoed in every trajectory so outputs can be traced
+to the generator contract.
+
+`run_sgd_closed_form` takes the draws of c epochs at once: one `integers`
+call over the c epochs' bounds laid end to end (or over n*c uniform
+indices).  `Generator.integers` fills its output element by element from
+the one PCG64 stream, so that call yields exactly the draws of c per-epoch
+calls and leaves the generator in the same state; chunking changes the
+number of calls, never the values drawn.
 """
 
 from __future__ import annotations
@@ -105,22 +113,37 @@ def derive_seed(entropy: int, spawn_key: tuple) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def sample_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform permutation of range(n) by high-to-low Fisher-Yates.
+def _permutation_rows(n: int, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """`rows` uniform permutations of range(n), shape (rows, n), by
+    high-to-low Fisher-Yates vectorized across the rows.
 
-    The n-1 bounded draws j_i ~ U{0..i} for i = n-1..1 come from one
-    vectorized `rng.integers` call; consumption is deterministic per seed.
+    All rows' draws come from one `rng.integers` call over the bounds
+    n, n-1, ..., 2 repeated `rows` times, row by row: the stream of `rows`
+    one-permutation calls.  n == 1 draws nothing.
     """
+    if n == 1:
+        return np.zeros((rows, 1), dtype=np.int64)
+    draws = rng.integers(0, np.tile(np.arange(n, 1, -1), (rows, 1)))
+    # Entry r*n + i of `work` is position i of row r.  Step i swaps positions
+    # i and j_i of every row as one gather and one scatter; where j_i == i
+    # both halves write the same value.
+    base = np.arange(0, rows * n, n)
+    pos_i = np.arange(n - 1, 0, -1)[:, None] + base
+    pos_j = draws.T + base
+    dst = np.concatenate((pos_i, pos_j), axis=1)
+    src = np.concatenate((pos_j, pos_i), axis=1)
+    work = np.tile(np.arange(n), rows)
+    for d, s in zip(dst, src):
+        work[d] = work[s]
+    return work.reshape(rows, n)
+
+
+def sample_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform permutation of range(n) by high-to-low Fisher-Yates: the
+    one-row case of the chunked sampler, consuming n-1 draws (none at n=1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    perm = list(range(n))
-    if n == 1:
-        return np.array(perm, dtype=np.int64)
-    draws = rng.integers(0, np.arange(n, 1, -1))
-    for i in range(n - 1, 0, -1):
-        j = draws[n - 1 - i]
-        perm[i], perm[j] = perm[j], perm[i]
-    return np.array(perm, dtype=np.int64)
+    return _permutation_rows(n, 1, rng)[0]
 
 
 def _warn_if_large_eta(p: Problem, eta: float):
@@ -214,13 +237,21 @@ def epoch_map(p: Problem, perm, eta: float) -> EpochMap:
     return sequence_map(p, perm, eta)
 
 
-def _geometric_factor(s: np.ndarray, t: int) -> np.ndarray:
-    """(1 - s^t) / (1 - s) with the exact s == 1 limit replaced by t."""
-    s = np.asarray(s, dtype=np.float64)
-    out = np.full_like(s, float(t))
+def _geometric_factor(s: np.ndarray, t) -> np.ndarray:
+    """(1 - s^t) / (1 - s) with the exact s == 1 limit replaced by t.
+
+    t is an epoch count or an integer array of them that broadcasts
+    against s."""
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=np.float64), np.asarray(t))
+    out = t.astype(np.float64)
     ok = s != 1.0
-    out[ok] = (1.0 - s[ok] ** t) / (1.0 - s[ok])
+    out[ok] = (1.0 - s[ok] ** t[ok]) / (1.0 - s[ok])
     return out
+
+
+# Index entries (epochs * n) drawn and mapped per chunk of a run; bounds the
+# chunk's (epochs, n, d) factor arrays to 2**14 * d floats.
+_CHUNK_ENTRIES = 2**14
 
 
 def run_sgd_closed_form(p: Problem, cfg: RunConfig,
@@ -229,36 +260,47 @@ def run_sgd_closed_form(p: Problem, cfg: RunConfig,
 
     Consumes the generator exactly like `run_sgd`, so the two agree per seed
     (to rounding).  Single shuffling uses the geometric closed form
-    x_t = S^t x0 + eta * (1-S^t)/(1-S) * X; the other schemes compose their
-    per-epoch maps.  Zero-curvature directions (S == 1) take the t-limit.
-    Only end-of-epoch iterates exist here; per-step history (store_all)
-    requires run_sgd.
+    x_t = S^t x0 + eta * (1-S^t)/(1-S) * X for all t at once; zero-curvature
+    directions (S == 1) take the t-limit.  The other schemes run in chunks of
+    about `_CHUNK_ENTRIES // n` epochs: one generator call draws the chunk's
+    index sequences (the same stream as one call per epoch, see the module
+    docstring), one Fisher-Yates pass permutes all its rows, one
+    `tail_products` call maps all its epochs, and the maps are then applied
+    in order.  Losses are evaluated on the diagonal-frame iterates.  Only
+    end-of-epoch iterates exist here; per-step history (store_all) requires
+    run_sgd.
     """
     y0 = model._to_diag_frame(p, cfg.x0)
     _warn_if_large_eta(p, cfg.eta)
     rng = np.random.default_rng(cfg.seed)
-    O = p.conjugation
-    k = cfg.epochs
-    ys = np.empty((k, p.dim))
+    n, k, eta = p.n, cfg.epochs, cfg.eta
     if cfg.scheme is Scheme.SINGLE_SHUFFLE:
-        perm = sample_permutation(p.n, rng)
+        perm = sample_permutation(n, rng)
         if perm_log is not None:
             perm_log.append(perm.copy())
-        m = sequence_map(p, perm, cfg.eta)
-        for t in range(1, k + 1):
-            ys[t - 1] = m.contraction**t * y0 + cfg.eta * _geometric_factor(m.contraction, t) * m.noise
+        m = sequence_map(p, perm, eta)
+        t = np.arange(1, k + 1)[:, None]
+        ys = m.contraction**t * y0 + eta * _geometric_factor(m.contraction, t) * m.noise
     else:
-        y = y0.copy()
-        for t in range(k):
-            seq = _epoch_sequence(p, cfg.scheme, rng, None)
+        ys = np.empty((k, p.dim))
+        y = y0
+        per_chunk = max(1, _CHUNK_ENTRIES // n)
+        for first in range(0, k, per_chunk):
+            c = min(per_chunk, k - first)
+            if cfg.scheme is Scheme.WITH_REPLACEMENT:
+                seqs = rng.integers(0, n, size=(c, n))
+            else:
+                seqs = _permutation_rows(n, c, rng)
             if perm_log is not None:
-                perm_log.append(np.array(seq))
-            m = sequence_map(p, seq, cfg.eta)
-            y = m.contraction * y + cfg.eta * m.noise
-            ys[t] = y
-    points = ys if O is None else ys @ O.T
-    losses = np.array([objective(p, points[t]) for t in range(k)])
-    return Trajectory(points=points, losses=losses, config=cfg)
+                perm_log.extend(np.array(seq) for seq in seqs)
+            factors = 1.0 - eta * p.curvature_matrix[seqs]  # (c, n, d)
+            contraction, noise = tail_products(factors.transpose(0, 2, 1),
+                                               p.linear_matrix[seqs].transpose(0, 2, 1))
+            for t in range(c):
+                y = contraction[t] * y + eta * noise[t]
+                ys[first + t] = y
+    points = ys if p.conjugation is None else ys @ p.conjugation.T
+    return Trajectory(points=points, losses=model.diagonal_objective(p, ys), config=cfg)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -277,10 +277,17 @@ def _to_diag_frame(p: Problem, x) -> np.ndarray:
     return x if p.conjugation is None else p.conjugation.T @ x
 
 
+def diagonal_objective(p: Problem, y: np.ndarray) -> np.ndarray:
+    """F at diagonal-frame points: y holds one point per row (or is one point).
+
+    `vecdot` takes each row's sums with the kernel of a 1-D `np.dot`, so
+    every row rounds as a lone point does."""
+    return 0.5 * np.vecdot(y * y, p.mean_curvature) - np.vecdot(y, p.mean_linear)
+
+
 def objective(p: Problem, x) -> float:
     """F(x), evaluated through the diagonal frame when a conjugation is set."""
-    y = _to_diag_frame(p, x)
-    return float(0.5 * np.dot(p.mean_curvature, y * y) - np.dot(p.mean_linear, y))
+    return float(diagonal_objective(p, _to_diag_frame(p, x)))
 
 
 def component_gradient(p: Problem, i: int, x) -> np.ndarray:

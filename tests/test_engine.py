@@ -244,6 +244,13 @@ class TestClosedForm:
         s = np.array([1.0, 0.5, 0.0])
         out = engine._geometric_factor(s, 4)
         np.testing.assert_allclose(out, [4.0, (1 - 0.5**4) / 0.5, 1.0])
+        # a column of epoch counts broadcasts against s: one row per t
+        t = np.array([[1], [3], [4], [50]])
+        grid = engine._geometric_factor(s, t)
+        assert grid.shape == (4, 3)
+        np.testing.assert_array_equal(grid[:, 0], [1.0, 3.0, 4.0, 50.0])
+        for row, count in zip(grid, t[:, 0]):
+            np.testing.assert_array_equal(row, engine._geometric_factor(s, int(count)))
 
     def test_conjugation_equivariance_shared_stream(self):
         rng = np.random.default_rng(31)
@@ -260,6 +267,131 @@ class TestClosedForm:
                 err = np.linalg.norm(rot.points[t] - O @ base.points[t])
                 assert err <= 1e-9 * (1.0 + np.linalg.norm(base.points[t]))
             np.testing.assert_allclose(rot.losses, base.losses, rtol=1e-10, atol=1e-300)
+
+
+def swap_loop_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
+    """High-to-low Fisher-Yates one element at a time, from one per-epoch
+    draw call: the permutation sampler as RNG contract v1 defines it."""
+    perm = list(range(n))
+    draws = rng.integers(0, np.arange(n, 1, -1))
+    for i in range(n - 1, 0, -1):
+        j = draws[n - 1 - i]
+        perm[i], perm[j] = perm[j], perm[i]
+    return np.array(perm, dtype=np.int64)
+
+
+def per_epoch_closed_form(p: model.Problem, cfg: RunConfig):
+    """Reference closed form that draws and applies one epoch map at a time,
+    single shuffling included: (points, losses, perm_log)."""
+    rng = np.random.default_rng(cfg.seed)
+    y = model._to_diag_frame(p, cfg.x0)
+    perms, ys = [], []
+    if cfg.scheme is Scheme.SINGLE_SHUFFLE:
+        perms.append(swap_loop_permutation(p.n, rng))
+    for _ in range(cfg.epochs):
+        if cfg.scheme is Scheme.WITH_REPLACEMENT:
+            seq = rng.integers(0, p.n, size=p.n)
+        elif cfg.scheme is Scheme.RANDOM_RESHUFFLE:
+            seq = swap_loop_permutation(p.n, rng)
+        else:
+            seq = perms[0]
+        if cfg.scheme is not Scheme.SINGLE_SHUFFLE:
+            perms.append(seq)
+        m = engine.sequence_map(p, seq, cfg.eta)
+        y = m.contraction * y + cfg.eta * m.noise
+        ys.append(y)
+    points = np.array(ys)
+    if p.conjugation is not None:
+        points = points @ p.conjugation.T
+    return points, np.array([model.objective(p, x) for x in points]), perms
+
+
+class TestChunkedStream:
+    """One generator call over several epochs draws exactly what one call per
+    epoch draws, and leaves the generator in the same state."""
+
+    DRAWS = {
+        "rr": (lambda rng, n, c: rng.integers(0, np.tile(np.arange(n, 1, -1), c))),
+        "wr": (lambda rng, n, c: rng.integers(0, n, size=n * c)),
+    }
+
+    @pytest.mark.parametrize("tag", ["rr", "wr"])
+    @pytest.mark.parametrize("n", [2, 7, 100, 101, 500])
+    def test_one_call_equals_per_epoch_calls(self, tag, n):
+        draw = self.DRAWS[tag]
+        epochs = 9
+        for seed in (0, 12345):
+            once, split, per_epoch = (np.random.default_rng(seed) for _ in range(3))
+            whole = draw(once, n, epochs)
+            halves = np.concatenate([draw(split, n, 4), draw(split, n, epochs - 4)])
+            epochwise = np.concatenate([draw(per_epoch, n, 1) for _ in range(epochs)])
+            np.testing.assert_array_equal(whole, epochwise)
+            np.testing.assert_array_equal(halves, epochwise)
+            nxt = [g.integers(0, 2**63) for g in (once, split, per_epoch)]
+            assert nxt[0] == nxt[1] == nxt[2]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 101])
+    def test_permutation_rows_equal_swap_loop(self, n):
+        for seed in (0, 5):
+            rows_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            rows = engine._permutation_rows(n, 6, rows_rng)
+            assert rows.shape == (6, n) and rows.flags.c_contiguous
+            for row in rows:
+                np.testing.assert_array_equal(row, swap_loop_permutation(n, loop_rng))
+            assert rows_rng.integers(0, 2**63) == loop_rng.integers(0, 2**63)
+
+    def test_sample_permutation_is_the_one_row_case(self):
+        for n in (2, 3, 10, 500):
+            a, b = np.random.default_rng(n), np.random.default_rng(n)
+            for _ in range(3):
+                np.testing.assert_array_equal(sample_permutation(n, a),
+                                              swap_loop_permutation(n, b))
+
+
+class TestChunkedRuns:
+    """The chunked closed form against the per-epoch reference loop."""
+
+    @staticmethod
+    def assert_matches_reference(p, cfg):
+        log = []
+        traj = run_sgd_closed_form(p, cfg, perm_log=log)
+        points, losses, perms = per_epoch_closed_form(p, cfg)
+        assert len(log) == len(perms)
+        for got, want in zip(log, perms):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(traj.points, points, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(traj.losses, losses, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_odd_n_random_problems(self, scheme):
+        rng = np.random.default_rng(41)
+        checked = 0
+        while checked < 12:
+            p = random_problem(rng, max_n=9)
+            if p.n % 2 == 0:
+                continue
+            cfg = RunConfig(scheme=scheme, eta=rng.uniform(0.1, 1.0) / p.smooth_l,
+                            epochs=int(rng.integers(1, 30)), x0=rng.uniform(-2, 2, p.dim),
+                            seed=int(rng.integers(2**32)))
+            self.assert_matches_reference(p, cfg)
+            checked += 1
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_rotated_problem(self, scheme):
+        p = model.build_rr_construction(100, 1.0, 1.0, 8.0)
+        O = random_rotation(3, np.random.default_rng(6))
+        cfg = RunConfig(scheme=scheme, eta=recommended_eta(100, 400, 1.0), epochs=400,
+                        x0=O @ np.array([1.0, 0.5, -0.5]), seed=8)
+        self.assert_matches_reference(model.conjugate(p, O), cfg)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_paper_scale_run_crosses_many_chunks(self, scheme):
+        n, k = 500, 2000
+        assert k > 10 * (engine._CHUNK_ENTRIES // n)
+        p = model.build_ss_construction(n, 1.0, 1.0, 200.0)
+        cfg = RunConfig(scheme=scheme, eta=recommended_eta(n, k, 1.0), epochs=k,
+                        x0=[1.0, 0.5], seed=2021)
+        self.assert_matches_reference(p, cfg)
 
 
 class TestTailProducts:

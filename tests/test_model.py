@@ -89,6 +89,16 @@ class TestObjectiveAndGradients:
         assert objective(p, [1.0, 1.0]) == pytest.approx(1.5)
         assert objective(p, [1.0, 0.0]) == pytest.approx(0.5)
 
+    def test_rows_round_like_single_points(self):
+        # the closed-form runner evaluates all epochs' losses in one call;
+        # each row must equal a lone objective call bit for bit
+        rng = np.random.default_rng(4)
+        for p in (build_ss_construction(6, 1.0, 0.7, 2.5),
+                  build_rr_construction(6, 1.0, 0.7, 2.5)):
+            ys = rng.normal(size=(200, p.dim)) * rng.uniform(0, 5, (200, 1))
+            np.testing.assert_array_equal(model.diagonal_objective(p, ys),
+                                          [objective(p, y) for y in ys])
+
     def test_dimension_mismatch(self):
         p = build_ss_construction(4, 1.0, 1.0, 2.0)
         with pytest.raises(ValueError):
