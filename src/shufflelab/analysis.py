@@ -438,15 +438,16 @@ def derive_run_seed(master_seed: int, index: int) -> int:
 
 def mc_expected_loss(p: Problem, scheme: "_engine.Scheme", eta: float, k: int, x0,
                      runs: int, seed: int = 0) -> Tuple[float, float]:
-    """Monte Carlo estimate of E[F(x_k)]: (mean, standard error of the mean)."""
+    """Monte Carlo estimate of E[F(x_k)]: (mean, standard error of the mean).
+
+    Run r is seeded with `derive_run_seed(seed, r)`; `engine.final_losses`
+    runs all of them batched, each with its own generator, so every loss
+    equals that run's `run_sgd_closed_form` final loss bit for bit.
+    """
     if runs < 2:
         raise ValueError("need at least 2 runs for a standard error")
-    losses = np.empty(runs)
-    for r in range(runs):
-        cfg = _engine.RunConfig(
-            scheme=scheme, eta=eta, epochs=k, x0=x0, seed=derive_run_seed(seed, r)
-        )
-        losses[r] = _engine.run_sgd_closed_form(p, cfg).final_loss
+    seeds = [derive_run_seed(seed, r) for r in range(runs)]
+    losses = _engine.final_losses(p, scheme, eta, k, x0, seeds)
     return float(np.mean(losses)), float(np.std(losses, ddof=1) / math.sqrt(runs))
 
 

@@ -14,6 +14,11 @@ indices).  `Generator.integers` fills its output element by element from
 the one PCG64 stream, so that call yields exactly the draws of c per-epoch
 calls and leaves the generator in the same state; chunking changes the
 number of calls, never the values drawn.
+
+`final_losses` runs a batch of runs through the same chunks.  A batch keeps
+one generator per run, seeded with that run's seed and making exactly that
+run's draws, so each run's stream is unchanged; only the Fisher-Yates pass,
+the tail products and the map recurrence are shared across the batch.
 """
 
 from __future__ import annotations
@@ -59,11 +64,16 @@ class RunConfig:
     def __post_init__(self):
         object.__setattr__(self, "x0", np.array(self.x0, dtype=np.float64))
         self.x0.flags.writeable = False
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not 0 <= int(self.seed) < 2**64:
+        _check_run(self.eta, self.epochs, (self.seed,))
+
+
+def _check_run(eta: float, epochs: int, seeds) -> None:
+    if eta < 0:
+        raise ValueError("eta must be nonnegative")
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    for seed in seeds:
+        if not 0 <= int(seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
@@ -104,26 +114,41 @@ def recommended_eta(n: int, k: int, lam: float) -> float:
     return math.log(nk) / (lam * nk)
 
 
+def check_seed_base(entropy: int) -> None:
+    """Reject a negative master seed: the one rule for every seed base that
+    `derive_seed` accepts."""
+    if entropy < 0:
+        raise ValueError(f"seed must be nonnegative, got {entropy}")
+
+
 def derive_seed(entropy: int, spawn_key: tuple) -> int:
     """The one seed-derivation rule: the first uint64 word of
     SeedSequence(entropy, spawn_key).  Sweeps and Monte Carlo estimates
     derive every run seed through it, so each seed stays a pure function of
     the master seed and the run's key."""
+    check_seed_base(entropy)
     ss = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _permutation_rows(n: int, rows: int, rng: np.random.Generator) -> np.ndarray:
-    """`rows` uniform permutations of range(n), shape (rows, n), by
-    high-to-low Fisher-Yates vectorized across the rows.
+def _draws(scheme: "Scheme", n: int, epochs: int, rng: np.random.Generator) -> np.ndarray:
+    """One run's draws for `epochs` epochs from one generator call, one row
+    per epoch: n uniform indices (with replacement) or the Fisher-Yates
+    draws j_i ~ U{0..i}, i = n-1..1 (the shuffling schemes; none at n=1)."""
+    if scheme is Scheme.WITH_REPLACEMENT:
+        return rng.integers(0, n, size=(epochs, n))
+    return rng.integers(0, np.tile(np.arange(n, 1, -1), (epochs, 1)))
 
-    All rows' draws come from one `rng.integers` call over the bounds
-    n, n-1, ..., 2 repeated `rows` times, row by row: the stream of `rows`
-    one-permutation calls.  n == 1 draws nothing.
+
+def _fisher_yates(draws: np.ndarray) -> np.ndarray:
+    """The permutations of range(n), shape (rows, n), that high-to-low
+    Fisher-Yates makes from `draws` of shape (rows, n-1): step i swaps
+    positions i and j_i, for i = n-1..1.
+
+    Rows may come from different generators; all of them share one
+    vectorized pass.
     """
-    if n == 1:
-        return np.zeros((rows, 1), dtype=np.int64)
-    draws = rng.integers(0, np.tile(np.arange(n, 1, -1), (rows, 1)))
+    rows, n = draws.shape[0], draws.shape[1] + 1
     # Entry r*n + i of `work` is position i of row r.  Step i swaps positions
     # i and j_i of every row as one gather and one scatter; where j_i == i
     # both halves write the same value.
@@ -136,6 +161,13 @@ def _permutation_rows(n: int, rows: int, rng: np.random.Generator) -> np.ndarray
     for d, s in zip(dst, src):
         work[d] = work[s]
     return work.reshape(rows, n)
+
+
+def _permutation_rows(n: int, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """`rows` uniform permutations of range(n), shape (rows, n), from one
+    `rng.integers` call over the bounds n, n-1, ..., 2 repeated `rows`
+    times: the stream of `rows` one-permutation calls."""
+    return _fisher_yates(_draws(Scheme.RANDOM_RESHUFFLE, n, rows, rng))
 
 
 def sample_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -249,9 +281,69 @@ def _geometric_factor(s: np.ndarray, t) -> np.ndarray:
     return out
 
 
-# Index entries (epochs * n) drawn and mapped per chunk of a run; bounds the
-# chunk's (epochs, n, d) factor arrays to 2**14 * d floats.
+# Index entries (runs * epochs * n) drawn and mapped per chunk; bounds the
+# chunk's (epochs, runs, n, d) factor arrays to 2**14 * d floats.
 _CHUNK_ENTRIES = 2**14
+
+
+def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.ndarray,
+                      seeds, perm_log: Optional[list] = None):
+    """Yield (first, ys) chunk by chunk: ys of shape (epochs, runs, d) holds
+    the diagonal-frame end-of-epoch iterates of the runs seeded by
+    seeds[first:first + runs], over the chunk's epochs.  A block of one run
+    has no runs axis: ys is (epochs, d).
+
+    A chunk holds whole runs when k*n fits in `_CHUNK_ENTRIES`, else about
+    `_CHUNK_ENTRIES // n` epochs of one run; a run's chunks come in epoch
+    order.  Each run draws from its own generator (see the module
+    docstring); the chunk's rows then share one Fisher-Yates pass and one
+    `tail_products` call.  Single shuffling draws one permutation per run
+    and takes x_t = S^t x0 + eta * (1-S^t)/(1-S) * X for all k epochs at
+    once, so its chunks always hold whole runs; zero-curvature directions
+    (S == 1) take the t-limit.  The other schemes apply their maps in order
+    over the (runs, d) block.  `perm_log` collects the index sequences of a
+    single run.
+    """
+    n = p.n
+    single = scheme is Scheme.SINGLE_SHUFFLE
+    width = n if scheme is Scheme.WITH_REPLACEMENT else n - 1  # draws per epoch
+    epochs = k if single else min(k, max(1, _CHUNK_ENTRIES // n))
+    runs = max(1, _CHUNK_ENTRIES // (epochs * n))
+    for first in range(0, len(seeds), runs):
+        block = seeds[first:first + runs]
+        # Only a run alone in its block spans several chunks, so at most one
+        # generator outlives the draws it makes.
+        lone = np.random.default_rng(block[0]) if len(block) == 1 else None
+        y = y0
+        for t0 in range(0, k, epochs):
+            c = min(epochs, k - t0)
+            drawn = 1 if single else c
+            if lone is not None:
+                draws = _draws(scheme, n, drawn, lone)
+            else:
+                draws = np.empty((drawn, len(block), width), dtype=np.int64)
+                for r, seed in enumerate(block):
+                    draws[:, r] = _draws(scheme, n, drawn, np.random.default_rng(seed))
+            seqs = draws if width == n else _fisher_yates(
+                draws.reshape(-1, width)).reshape(draws.shape[:-1] + (n,))
+            if perm_log is not None:
+                perm_log.extend(np.array(seq) for seq in seqs)
+            # `draws` and `factors` stay bound until the next chunk replaces
+            # them.  Freed earlier, the allocator handed their pages back and
+            # faulted them in again every chunk: at n=500, k=2000, ~5x the
+            # minor faults and ~20% more time for `factors`, and ~4800
+            # against ~250 faults per random-reshuffling run for `draws`.
+            factors = 1.0 - eta * p.curvature_matrix[seqs]  # (drawn, [runs,] n, d)
+            contraction, noise = tail_products(np.swapaxes(factors, -1, -2),
+                                               np.swapaxes(p.linear_matrix[seqs], -1, -2))
+            if single:
+                t = np.arange(1, k + 1).reshape((k,) + (1,) * (contraction.ndim - 1))
+                ys = contraction**t * y0 + eta * _geometric_factor(contraction, t) * noise
+            else:
+                ys = np.empty_like(contraction)
+                for t in range(c):
+                    y = ys[t] = contraction[t] * y + eta * noise[t]
+            yield first, ys
 
 
 def run_sgd_closed_form(p: Problem, cfg: RunConfig,
@@ -259,48 +351,41 @@ def run_sgd_closed_form(p: Problem, cfg: RunConfig,
     """Trajectory via per-epoch affine maps instead of explicit steps.
 
     Consumes the generator exactly like `run_sgd`, so the two agree per seed
-    (to rounding).  Single shuffling uses the geometric closed form
-    x_t = S^t x0 + eta * (1-S^t)/(1-S) * X for all t at once; zero-curvature
-    directions (S == 1) take the t-limit.  The other schemes run in chunks of
-    about `_CHUNK_ENTRIES // n` epochs: one generator call draws the chunk's
-    index sequences (the same stream as one call per epoch, see the module
-    docstring), one Fisher-Yates pass permutes all its rows, one
-    `tail_products` call maps all its epochs, and the maps are then applied
-    in order.  Losses are evaluated on the diagonal-frame iterates.  Only
-    end-of-epoch iterates exist here; per-step history (store_all) requires
-    run_sgd.
+    (to rounding).  This is the one-run case of `_chunked_iterates`: the
+    draws of about `_CHUNK_ENTRIES // n` epochs come from one generator call
+    (the same stream as one call per epoch, see the module docstring), one
+    Fisher-Yates pass permutes them and one `tail_products` call maps them;
+    single shuffling uses the geometric closed form.  Losses are evaluated
+    on the diagonal-frame iterates.  Only end-of-epoch iterates exist here;
+    per-step history (store_all) requires run_sgd.
     """
     y0 = model._to_diag_frame(p, cfg.x0)
     _warn_if_large_eta(p, cfg.eta)
-    rng = np.random.default_rng(cfg.seed)
-    n, k, eta = p.n, cfg.epochs, cfg.eta
-    if cfg.scheme is Scheme.SINGLE_SHUFFLE:
-        perm = sample_permutation(n, rng)
-        if perm_log is not None:
-            perm_log.append(perm.copy())
-        m = sequence_map(p, perm, eta)
-        t = np.arange(1, k + 1)[:, None]
-        ys = m.contraction**t * y0 + eta * _geometric_factor(m.contraction, t) * m.noise
-    else:
-        ys = np.empty((k, p.dim))
-        y = y0
-        per_chunk = max(1, _CHUNK_ENTRIES // n)
-        for first in range(0, k, per_chunk):
-            c = min(per_chunk, k - first)
-            if cfg.scheme is Scheme.WITH_REPLACEMENT:
-                seqs = rng.integers(0, n, size=(c, n))
-            else:
-                seqs = _permutation_rows(n, c, rng)
-            if perm_log is not None:
-                perm_log.extend(np.array(seq) for seq in seqs)
-            factors = 1.0 - eta * p.curvature_matrix[seqs]  # (c, n, d)
-            contraction, noise = tail_products(factors.transpose(0, 2, 1),
-                                               p.linear_matrix[seqs].transpose(0, 2, 1))
-            for t in range(c):
-                y = contraction[t] * y + eta * noise[t]
-                ys[first + t] = y
+    chunks = [ys for _, ys in _chunked_iterates(p, cfg.scheme, cfg.eta, cfg.epochs, y0,
+                                                 [cfg.seed], perm_log)]
+    ys = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     points = ys if p.conjugation is None else ys @ p.conjugation.T
     return Trajectory(points=points, losses=model.diagonal_objective(p, ys), config=cfg)
+
+
+def final_losses(p: Problem, scheme: Scheme, eta: float, k: int, x0, seeds) -> np.ndarray:
+    """F(x_k) of one run per seed, batched across runs.
+
+    Entry r equals `run_sgd_closed_form(p, RunConfig(scheme, eta, k, x0,
+    seeds[r])).final_loss` bit for bit: each run keeps its own generator
+    and draws, and the runs of a chunk share the arithmetic of
+    `_chunked_iterates`.  Rejects eta < 0, k < 1 and seeds outside
+    [0, 2**64) as `RunConfig` does.
+    """
+    seeds = list(seeds)
+    _check_run(eta, k, seeds)
+    y0 = model._to_diag_frame(p, x0)
+    _warn_if_large_eta(p, eta)
+    last = np.empty((len(seeds), p.dim))
+    for first, ys in _chunked_iterates(p, scheme, eta, k, y0, seeds):
+        final = ys[-1].reshape(-1, p.dim)  # a run's final chunk is written last
+        last[first:first + len(final)] = final
+    return model.diagonal_objective(p, last)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -58,6 +58,7 @@ class SweepPlan:
             raise ValueError("k_values must be nonempty, ascending and distinct")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
+        engine.check_seed_base(self.seed_base)
         if self.eta_rule != "recommended":
             eta = float(self.eta_rule)
             if eta < 0:

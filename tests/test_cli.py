@@ -163,6 +163,18 @@ class TestSweepCommand:
         text = (out_dir / "records.csv").read_text()
         assert '"seed_base": 5' in text
 
+    def test_negative_seed_fails_before_any_work(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "sweep", "--construction", "ss", "--n", "8",
+                               "--k-values", "1,2", "--seeds", "2", "--seed", "-1",
+                               "--out-dir", str(out_dir))
+        assert (code, err) == (1, "error: seed must be nonnegative, got -1\n")
+        assert not out_dir.exists()
+        code, _, err = run_cli(capsys, "oracle", "--quantity", "loss-rr", "--n", "10",
+                               "--k", "3", "--auto-eta", "--method", "monte-carlo",
+                               "--samples", "10", "--seed", "-1")
+        assert (code, err) == (1, "error: seed must be nonnegative, got -1\n")
+
 
 class TestReproduceFig1:
     def test_refuses_nonempty_out_dir(self, capsys, tmp_path):

@@ -394,6 +394,85 @@ class TestChunkedRuns:
         self.assert_matches_reference(p, cfg)
 
 
+class TestFinalLosses:
+    """Batched final losses against one `run_sgd_closed_form` call per run."""
+
+    @staticmethod
+    def assert_matches_per_run(p, scheme, eta, k, x0, seeds):
+        got = engine.final_losses(p, scheme, eta, k, x0, seeds)
+        want = [run_sgd_closed_form(p, RunConfig(scheme, eta, k, x0, s)).final_loss
+                for s in seeds]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_odd_n_random_problems(self, scheme):
+        rng = np.random.default_rng(43)
+        checked = 0
+        while checked < 8:
+            p = random_problem(rng, max_n=9)
+            if p.n % 2 == 0:
+                continue
+            seeds = [int(s) for s in rng.integers(2**63, size=int(rng.integers(1, 6)))]
+            self.assert_matches_per_run(p, scheme, rng.uniform(0.1, 1.0) / p.smooth_l,
+                                        int(rng.integers(1, 30)), rng.uniform(-2, 2, p.dim),
+                                        seeds)
+            checked += 1
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_rotated_problem(self, scheme):
+        p = model.build_rr_construction(100, 1.0, 1.0, 8.0)
+        O = random_rotation(3, np.random.default_rng(6))
+        self.assert_matches_per_run(model.conjugate(p, O), scheme,
+                                    recommended_eta(100, 20, 1.0), 20,
+                                    O @ np.array([1.0, 0.5, -0.5]), [8, 9, 2**64 - 1])
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_seeds_span_several_chunks(self, scheme):
+        n, k = 10, 5
+        seeds = [analysis.derive_run_seed(3, r) for r in range(900)]
+        assert len(seeds) * k * n > 2 * engine._CHUNK_ENTRIES
+        p = model.build_rr_construction(n, 1.0, 1.0, 4.0)
+        self.assert_matches_per_run(p, scheme, recommended_eta(n, k, 1.0), k,
+                                    [1.0, 0.5, -0.5], seeds)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_one_run_longer_than_a_chunk(self, scheme):
+        n, k = 500, 40
+        assert k * n > engine._CHUNK_ENTRIES
+        p = model.build_ss_construction(n, 1.0, 1.0, 200.0)
+        self.assert_matches_per_run(p, scheme, recommended_eta(n, k, 1.0), k,
+                                    [1.0, 0.5], [2021, 7])
+
+    def test_mc_expected_loss_equals_per_run_loop(self):
+        n, k, runs = 10, 5, 500
+        p = model.build_ss_construction(n, 1.0, 1.0, 4.0)
+        x0 = model.preset_x0("ss", "worst-case", 1.0, 1.0, 4.0)
+        eta = recommended_eta(n, k, 1.0)
+        for scheme in Scheme:
+            losses = np.array([
+                run_sgd_closed_form(p, RunConfig(scheme, eta, k, x0,
+                                                 analysis.derive_run_seed(11, r))).final_loss
+                for r in range(runs)
+            ])
+            want = (float(np.mean(losses)),
+                    float(np.std(losses, ddof=1) / math.sqrt(runs)))
+            assert analysis.mc_expected_loss(p, scheme, eta, k, x0, runs, seed=11) == want
+
+    @pytest.mark.parametrize("eta, k, seeds, message", [
+        (-0.1, 3, [0], "eta must be nonnegative"),
+        (0.1, 0, [0], "epochs must be >= 1"),
+        (0.1, 3, [0, -1], "seed must fit in 64 unsigned bits"),
+        (0.1, 3, [2**64], "seed must fit in 64 unsigned bits"),
+    ])
+    def test_bad_input_rejected_like_run_config(self, eta, k, seeds, message):
+        p = two_point_problem()
+        with pytest.raises(ValueError, match=message):
+            engine.final_losses(p, Scheme.RANDOM_RESHUFFLE, eta, k, [0.0], seeds)
+        with pytest.raises(ValueError, match=message):
+            for s in seeds:
+                RunConfig(Scheme.RANDOM_RESHUFFLE, eta, k, [0.0], s)
+
+
 class TestTailProducts:
     def test_batch_axes_match_row_by_row(self):
         rng = np.random.default_rng(17)
@@ -439,6 +518,12 @@ class TestSeedRule:
                         assert experiments.run_seed_for(plan, tag, k, s) == self.first_word(
                             base, key
                         )
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            engine.derive_seed(-1, (0,))
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            experiments.desk_plan("ss", seed_base=-1)
 
 
 class TestTrajectoryCsv:
