@@ -3,7 +3,6 @@ quadratic finite sums: worst-case constructions, exact permutation
 expectations, rate calculators and the loss-versus-epochs experiment."""
 
 from .model import (
-    Component,
     Problem,
     Minimizer,
     build_ss_construction,
@@ -18,14 +17,12 @@ from .model import (
 from .engine import (
     Scheme,
     RunConfig,
-    EpochMap,
     Trajectory,
     RNG_ALGORITHM_ID,
     recommended_eta,
     sample_permutation,
     run_sgd,
     run_sgd_closed_form,
-    epoch_map,
 )
 from .analysis import (
     PermutationMoments,

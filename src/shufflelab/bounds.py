@@ -20,7 +20,6 @@ class BoundSpec:
 
     theorem_id: str
     constant: float = 1.0
-    includes_logs: bool = False
 
     def __post_init__(self):
         if self.theorem_id not in THEOREM_IDS:

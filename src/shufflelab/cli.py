@@ -91,8 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--lambda-max", dest="lam_max", type=float, default=4.0)
     orc.add_argument("--k", type=int, default=5)
     orc.add_argument("--x0-preset", choices=model.X0_PRESETS, default="worst-case")
-    orc.add_argument("--eta", type=float, default=None)
-    orc.add_argument("--auto-eta", action="store_true")
+    _add_eta_flags(orc)
     orc.add_argument("--method", choices=("exact", "monte-carlo"), default="exact")
     orc.add_argument("--samples", type=int, default=100000)
     orc.add_argument("--seed", type=int, default=0)
@@ -292,7 +291,8 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _fig1_overlays(plan: experiments.SweepPlan, summaries) -> list:
-    """Fitted rate overlays: constants are least-squares fits, labeled as such."""
+    """Fitted rate overlays: constants are least-squares fits, labeled as such
+    in the legend and printed at full precision."""
     out = []
     for scheme, spec in (
         ("wr", bounds.BoundSpec("WR-BASELINE")),
@@ -305,6 +305,7 @@ def _fig1_overlays(plan: experiments.SweepPlan, summaries) -> list:
             (k, spec.evaluate(plan.n, k, plan.G, plan.lam, plan.lam_max) * c)
             for k in plan.k_values
         ]
+        print(f"{plan.construction} {scheme} {spec.theorem_id} fitted c = {c!r}")
         out.append((f"{spec.theorem_id} fit c={c:.2g}", pts))
     return out
 

@@ -59,7 +59,6 @@ class RunConfig:
     epochs: int
     x0: np.ndarray
     seed: int
-    store_all: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.array(self.x0, dtype=np.float64))
@@ -67,22 +66,22 @@ class RunConfig:
         _check_run(self.eta, self.epochs, (self.seed,))
 
 
-def _check_run(eta: float, epochs: int, seeds) -> None:
+def check_eta(eta: float) -> None:
+    """Reject a step size that is NaN, infinite or negative: the one rule for
+    every fixed step size a run or a sweep plan accepts."""
+    if not math.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta}")
     if eta < 0:
         raise ValueError("eta must be nonnegative")
+
+
+def _check_run(eta: float, epochs: int, seeds) -> None:
+    check_eta(eta)
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     for seed in seeds:
         if not 0 <= int(seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-
-
-@dataclass(frozen=True)
-class EpochMap:
-    """Per-coordinate affine summary of one epoch: x -> contraction*x + eta*noise."""
-
-    contraction: np.ndarray
-    noise: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,6 @@ class Trajectory:
     losses: np.ndarray  # (k,)
     config: RunConfig
     rng_algorithm_id: str = RNG_ALGORITHM_ID
-    all_points: Optional[np.ndarray] = None  # (n*k + 1, d) when store_all
 
     @property
     def final_point(self) -> np.ndarray:
@@ -215,23 +213,15 @@ def run_sgd(p: Problem, cfg: RunConfig, perm_log: Optional[list] = None) -> Traj
     x = cfg.x0.copy()
     points = np.empty((cfg.epochs, p.dim))
     losses = np.empty(cfg.epochs)
-    all_points = [x.copy()] if cfg.store_all else None
     for t in range(cfg.epochs):
         seq = _epoch_sequence(p, cfg.scheme, rng, fixed_perm)
         if perm_log is not None and cfg.scheme is not Scheme.SINGLE_SHUFFLE:
             perm_log.append(np.array(seq))
         for i in seq:
             x = x - cfg.eta * model.component_gradient(p, int(i), x)
-            if all_points is not None:
-                all_points.append(x.copy())
         points[t] = x
         losses[t] = objective(p, x)
-    return Trajectory(
-        points=points,
-        losses=losses,
-        config=cfg,
-        all_points=np.array(all_points) if all_points is not None else None,
-    )
+    return Trajectory(points=points, losses=losses, config=cfg)
 
 
 def tail_products(factors: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -248,8 +238,9 @@ def tail_products(factors: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.nd
     return suffix[..., 0] * factors[..., 0], np.einsum("...i,...i->...", b, suffix)
 
 
-def sequence_map(p: Problem, seq, eta: float) -> EpochMap:
-    """Affine epoch summary for an arbitrary index sequence, diagonal frame.
+def sequence_map(p: Problem, seq, eta: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(contraction, noise): one epoch over an index sequence as an affine map
+    of the diagonal-frame iterate, the per-epoch reference for the chunked path.
 
     contraction_j = prod_i (1 - eta a_{seq(i), j}) and
     noise_j = sum_i b_{seq(i), j} * prod_{l > i} (1 - eta a_{seq(l), j}),
@@ -257,16 +248,7 @@ def sequence_map(p: Problem, seq, eta: float) -> EpochMap:
     """
     seq = np.asarray(seq, dtype=np.int64)
     factors = 1.0 - eta * p.curvature_matrix[seq]  # (n, d)
-    contraction, noise = tail_products(factors.T, p.linear_matrix[seq].T)
-    return EpochMap(contraction=contraction, noise=noise)
-
-
-def epoch_map(p: Problem, perm, eta: float) -> EpochMap:
-    """Per-epoch affine map for a permutation (contraction is order-free)."""
-    perm = np.asarray(perm, dtype=np.int64)
-    if sorted(perm.tolist()) != list(range(p.n)):
-        raise ValueError("perm is not a permutation of range(n)")
-    return sequence_map(p, perm, eta)
+    return tail_products(factors.T, p.linear_matrix[seq].T)
 
 
 def _geometric_factor(s: np.ndarray, t) -> np.ndarray:
@@ -356,8 +338,7 @@ def run_sgd_closed_form(p: Problem, cfg: RunConfig,
     (the same stream as one call per epoch, see the module docstring), one
     Fisher-Yates pass permutes them and one `tail_products` call maps them;
     single shuffling uses the geometric closed form.  Losses are evaluated
-    on the diagonal-frame iterates.  Only end-of-epoch iterates exist here;
-    per-step history (store_all) requires run_sgd.
+    on the diagonal-frame iterates.
     """
     y0 = model._to_diag_frame(p, cfg.x0)
     _warn_if_large_eta(p, cfg.eta)
@@ -374,8 +355,8 @@ def final_losses(p: Problem, scheme: Scheme, eta: float, k: int, x0, seeds) -> n
     Entry r equals `run_sgd_closed_form(p, RunConfig(scheme, eta, k, x0,
     seeds[r])).final_loss` bit for bit: each run keeps its own generator
     and draws, and the runs of a chunk share the arithmetic of
-    `_chunked_iterates`.  Rejects eta < 0, k < 1 and seeds outside
-    [0, 2**64) as `RunConfig` does.
+    `_chunked_iterates`.  Rejects a negative or non-finite eta, k < 1 and
+    seeds outside [0, 2**64) as `RunConfig` does.
     """
     seeds = list(seeds)
     _check_run(eta, k, seeds)

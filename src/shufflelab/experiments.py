@@ -61,8 +61,7 @@ class SweepPlan:
         engine.check_seed_base(self.seed_base)
         if self.eta_rule != "recommended":
             eta = float(self.eta_rule)
-            if eta < 0:
-                raise ValueError("fixed eta must be nonnegative")
+            engine.check_eta(eta)
             object.__setattr__(self, "eta_rule", eta)
 
     def eta_for(self, k: int) -> float:

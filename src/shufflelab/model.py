@@ -30,34 +30,17 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-def _frozen_rows(curvatures, linear, ndim: int) -> tuple:
-    """Frozen copies of curvature and linear data: equal shapes, `ndim` axes,
+def _frozen_rows(curvatures, linear) -> tuple:
+    """Frozen copies of curvature and linear data: equal 2-D shapes,
     nonnegative curvatures."""
     curvatures, linear = _frozen_array(curvatures), _frozen_array(linear)
-    if curvatures.ndim != ndim or linear.ndim != ndim:
-        raise ValueError(f"curvature and linear data must be {ndim}-D")
+    if curvatures.ndim != 2 or linear.ndim != 2:
+        raise ValueError("curvature and linear data must be 2-D")
     if curvatures.shape != linear.shape:
         raise ValueError("curvature and linear data must have equal shapes")
     if np.any(curvatures < 0):
         raise ValueError("component curvatures must be nonnegative")
     return curvatures, linear
-
-
-@dataclass(frozen=True)
-class Component:
-    """One summand's row: diagonal curvatures a_j >= 0 and linear terms b_j."""
-
-    curvatures: np.ndarray
-    linear: np.ndarray
-
-    def __post_init__(self):
-        curvatures, linear = _frozen_rows(self.curvatures, self.linear, 1)
-        object.__setattr__(self, "curvatures", curvatures)
-        object.__setattr__(self, "linear", linear)
-
-    @property
-    def dim(self) -> int:
-        return self.curvatures.shape[0]
 
 
 @dataclass(frozen=True)
@@ -90,7 +73,7 @@ class Problem:
     mean_linear: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cm, lm = _frozen_rows(self.curvature_matrix, self.linear_matrix, 2)
+        cm, lm = _frozen_rows(self.curvature_matrix, self.linear_matrix)
         object.__setattr__(self, "curvature_matrix", cm)
         object.__setattr__(self, "linear_matrix", lm)
         if self.n <= 1:
@@ -174,15 +157,15 @@ def _is_orthogonal(o: np.ndarray, tol: float = ORTHOGONALITY_TOL) -> bool:
 
 
 def problem_from_json_dict(doc: dict) -> Problem:
-    rows = [Component(curvatures=c["curvatures"], linear=c["linear"])
-            for c in doc["components"]]
+    """The `Problem` a JSON document describes; `Problem` checks the values."""
+    rows = doc["components"]
     if len(rows) != doc["n"]:
         raise ValueError("component count does not match n")
-    if any(r.dim != doc["dim"] for r in rows):
+    if any(np.shape(r[key]) != (doc["dim"],) for r in rows for key in ("curvatures", "linear")):
         raise ValueError("all components must have dimension dim")
     return Problem(
-        curvature_matrix=[r.curvatures for r in rows],
-        linear_matrix=[r.linear for r in rows],
+        curvature_matrix=[r["curvatures"] for r in rows],
+        linear_matrix=[r["linear"] for r in rows],
         lam=doc["lambda"],
         lam_max=doc["lambda_max"],
         smooth_l=doc["smooth_l"],
@@ -390,15 +373,6 @@ def conjugate(p: Problem, O) -> Problem:
         raise ValueError("O is not orthogonal to 1e-12")
     combined = O if p.conjugation is None else O @ p.conjugation
     return dataclasses.replace(p, conjugation=combined)
-
-
-def dense_component_matrices(p: Problem, i: int) -> tuple:
-    """(A_i, b_i) as dense arrays in the outer frame, for cross-checks."""
-    a, b = p.curvature_matrix[i], p.linear_matrix[i]
-    if p.conjugation is None:
-        return np.diag(a), b.copy()
-    O = p.conjugation
-    return O @ np.diag(a) @ O.T, O @ b
 
 
 # Named initializations from the two analyses of the constructions.  No single

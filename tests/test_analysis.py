@@ -247,16 +247,6 @@ class TestPermutationMoments:
         assert m.e_p2 == pytest.approx(m.e_p**2, rel=1e-12)
         assert m.e_pq == pytest.approx(m.e_p * m.e_q, rel=1e-12)
 
-    def test_exact_vs_monte_carlo(self):
-        # switching coordinate of the 3-d construction, n=4
-        curv = [1.0, 1.0, 0.0, 0.0]
-        lin = [0.5, 0.5, -0.5, -0.5]
-        exact = permutation_moments(curv, lin, 0.1)
-        mc = permutation_moments(curv, lin, 0.1, method="monte-carlo",
-                                 samples=10**6, seed=4)
-        assert abs(mc.e_q - exact.e_q) <= 4 * mc.se_q
-        assert abs(mc.e_q2 - exact.e_q2) <= 4 * mc.se_q2
-
     def test_more_than_two_values_unsupported(self):
         with pytest.raises(UnsupportedInstanceError):
             permutation_moments([1.0, 2.0, 3.0, 1.0], [0.0] * 4, 0.1)
@@ -321,8 +311,8 @@ class TestExpectedLossRR:
         for pat in enumerate_balanced_patterns(p.n):
             ia, ib = iter(type_a), iter(type_b)
             seq = [next(ia) if v == 1 else next(ib) for v in pat]
-            m = engine.sequence_map(p, seq, eta)
-            x1 = m.contraction * x0 + eta * m.noise
+            contraction, noise = engine.sequence_map(p, seq, eta)
+            x1 = contraction * x0 + eta * noise
             total += model.objective(p, x1)
             count += 1
         assert got == pytest.approx(total / count, rel=1e-12)
@@ -334,7 +324,7 @@ class TestExpectedLossRR:
         eta, k = 0.5, 6
         got = expected_loss_rr_analytic(p, eta, k, np.array([1.0, 0.0, 0.0]))
         assert got == 0.5 * (1 - eta * 1.0) ** (2 * 4 * k)
-        moments = analysis._coordinate_moments(p, eta, "exact", 0, 0)
+        moments = analysis._coordinate_moments(p, eta)
         state = MomentState(mean=np.array([1.0, 0.0, 0.0]), second=np.array([1.0, 0.0, 0.0]))
         for _ in range(k):
             state = evolve_moment_state(state, moments, eta)
@@ -349,10 +339,15 @@ class TestExpectedLossRR:
                                     runs=4000, seed=6)
         assert abs(ana - mean) <= 3 * se
 
+    def test_oversized_n_names_the_monte_carlo_route(self):
+        p = model.build_rr_construction(18, 1.0, 1.0, 4.0)
+        with pytest.raises(UnsupportedInstanceError, match="mc_expected_loss"):
+            expected_loss_rr_analytic(p, 0.01, 2, np.zeros(3))
+
     def test_second_moments_nonnegative_along_the_way(self):
         p = model.build_rr_construction(6, 1.0, 1.0, 4.0)
         eta = 0.05
-        moments = analysis._coordinate_moments(p, eta, "exact", 0, 0)
+        moments = analysis._coordinate_moments(p, eta)
         state = MomentState(mean=np.array([1.0, 0.0, 0.0]), second=np.array([1.0, 0.0, 0.0]))
         for _ in range(10):
             state = evolve_moment_state(state, moments, eta)
@@ -442,7 +437,7 @@ class TestMeanRecursionEnvelopes:
             for frac in (0.2, 0.5, 1.0):
                 eta = frac / (lam_max * n)
                 p = model.build_rr_construction(n, 1.0, 1.0, lam_max)
-                moments = analysis._coordinate_moments(p, eta, "exact", 0, 0)
+                moments = analysis._coordinate_moments(p, eta)
                 state = MomentState(mean=np.zeros(3), second=np.zeros(3))
                 for k in range(1, 9):
                     state = evolve_moment_state(state, moments, eta)

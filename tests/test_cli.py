@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from shufflelab import analysis, cli, verify
+from shufflelab import analysis, bounds, cli, experiments, verify
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +55,12 @@ class TestSimulate:
             cli.main(["simulate", "--construction", "ss"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    def test_non_finite_eta_fails_before_any_run(self, capsys, eta):
+        code, out, err = run_cli(capsys, "simulate", "--construction", "ss", "--n", "4",
+                                 "--eta", eta, "--k", "1")
+        assert (code, out, err) == (1, "", f"error: eta must be finite, got {eta}\n")
+
     def test_stepwise_matches_default_final_loss(self, capsys):
         args = ["simulate", "--construction", "rr", "--n", "6", "--eta", "0.01",
                 "--k", "2", "--seed", "5", "--scheme", "rr",
@@ -92,6 +98,13 @@ class TestOracle:
                                "--perm", "0,1")
         assert code == 0
         assert "keyup = -0.5" in out
+
+    def test_eta_flags_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "--quantity", "loss-rr", "--n", "10", "--eta", "0.3",
+                      "--auto-eta"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
     def test_unsupported_n_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -184,6 +197,19 @@ class TestReproduceFig1:
         with pytest.raises(SystemExit) as exc:
             cli.main(["reproduce-fig1", "--scale", "desk", "--out-dir", str(out_dir)])
         assert exc.value.code == 2
+
+    def test_fitted_constants_printed_at_full_precision(self, capsys):
+        plan = experiments.SweepPlan(construction="rr", n=8, G=1.0, lam=1.0, lam_max=2.0,
+                                     k_values=(1, 2, 4), seeds=3)
+        _, summaries = experiments.run_sweep(plan, jobs=1)
+        curves = cli._fig1_overlays(plan, summaries)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(curves) == 3
+        for line, scheme, theorem in zip(lines, ("wr", "ss", "rr"),
+                                         ("WR-BASELINE", "SS-UPPER", "RR-UPPER")):
+            subset = [s for s in summaries if s.scheme == scheme]
+            c = experiments.fit_bound_constant(subset, bounds.BoundSpec(theorem), plan)
+            assert line == f"rr {scheme} {theorem} fitted c = {c!r}"
 
 
 class TestOracleCsvExport:

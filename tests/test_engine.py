@@ -9,11 +9,11 @@ from shufflelab import analysis, engine, experiments, model
 from shufflelab.engine import (
     RunConfig,
     Scheme,
-    epoch_map,
     recommended_eta,
     run_sgd,
     run_sgd_closed_form,
     sample_permutation,
+    sequence_map,
 )
 from shufflelab.verify import random_problem, random_rotation, trajectory_discrepancy
 
@@ -89,8 +89,8 @@ class TestRunSgd:
         cfg = RunConfig(scheme=Scheme.SINGLE_SHUFFLE, eta=0.5, epochs=1, x0=[0.0], seed=0)
         perms = []
         traj = run_sgd(p, cfg, perm_log=perms)
-        m = epoch_map(p, perms[0], 0.5)
-        expected = m.contraction[0] * 0.0 + 0.5 * m.noise[0]
+        contraction, noise = sequence_map(p, perms[0], 0.5)
+        expected = contraction[0] * 0.0 + 0.5 * noise[0]
         assert traj.points[0][0] == pytest.approx(expected, rel=1e-15)
         if perms[0].tolist() == [0, 1]:
             assert traj.points[0][0] == pytest.approx(-0.25)
@@ -139,15 +139,6 @@ class TestRunSgd:
         with pytest.warns(RuntimeWarning):
             run_sgd(p, cfg)
 
-    def test_store_all_records_every_step(self):
-        p = model.build_ss_construction(4, 1.0, 1.0, 2.0)
-        cfg = RunConfig(scheme=Scheme.RANDOM_RESHUFFLE, eta=0.01, epochs=2,
-                        x0=[1.0, 0.0], seed=1, store_all=True)
-        traj = run_sgd(p, cfg)
-        assert traj.all_points.shape == (4 * 2 + 1, 2)
-        np.testing.assert_array_equal(traj.all_points[4], traj.points[0])
-        np.testing.assert_array_equal(traj.all_points[-1], traj.points[-1])
-
     def test_scheme_separation_via_perm_log(self):
         p = model.build_ss_construction(6, 1.0, 1.0, 2.0)
         eta = recommended_eta(6, 4, 1.0)
@@ -161,45 +152,40 @@ class TestRunSgd:
 class TestEpochMap:
     def test_eta_zero(self):
         p = two_point_problem()
-        m = epoch_map(p, [1, 0], 0.0)
-        assert m.contraction[0] == 1.0
-        assert m.noise[0] == pytest.approx(0.0)  # sum of b = 1 + (-1)
+        contraction, noise = sequence_map(p, [1, 0], 0.0)
+        assert contraction[0] == 1.0
+        assert noise[0] == pytest.approx(0.0)  # sum of b = 1 + (-1)
 
     def test_hand_example(self):
         p = two_point_problem()
-        m = epoch_map(p, [0, 1], 0.5)
-        assert m.contraction[0] == pytest.approx(0.25)
-        assert m.noise[0] == pytest.approx(-0.5)
+        contraction, noise = sequence_map(p, [0, 1], 0.5)
+        assert contraction[0] == pytest.approx(0.25)
+        assert noise[0] == pytest.approx(-0.5)
 
     def test_contraction_is_permutation_free(self):
         p = model.build_rr_construction(6, 1.0, 1.0, 4.0)
         eta = 0.03
         rng = np.random.default_rng(8)
-        ref = epoch_map(p, np.arange(6), eta).contraction
+        ref, _ = sequence_map(p, np.arange(6), eta)
         for _ in range(10):
             perm = sample_permutation(6, rng)
-            np.testing.assert_allclose(epoch_map(p, perm, eta).contraction, ref, rtol=1e-15)
+            np.testing.assert_allclose(sequence_map(p, perm, eta)[0], ref, rtol=1e-15)
 
     def test_contraction_in_unit_interval_when_eta_small(self):
         p = model.build_rr_construction(6, 1.0, 1.0, 4.0)
-        m = epoch_map(p, np.arange(6), 0.2)  # eta * L = 0.8 <= 1
-        assert np.all(m.contraction >= 0.0) and np.all(m.contraction <= 1.0)
+        contraction, _ = sequence_map(p, np.arange(6), 0.2)  # eta * L = 0.8 <= 1
+        assert np.all(contraction >= 0.0) and np.all(contraction <= 1.0)
 
     def test_map_equals_explicit_steps(self):
         p = model.build_rr_construction(6, 1.0, 1.0, 4.0)
         eta = 0.05
         perm = sample_permutation(6, np.random.default_rng(11))
-        m = epoch_map(p, perm, eta)
+        contraction, noise = sequence_map(p, perm, eta)
         x = np.array([0.3, -0.7, 0.9])
         y = x.copy()
         for i in perm:
             y = y - eta * model.component_gradient(p, int(i), y)
-        np.testing.assert_allclose(m.contraction * x + eta * m.noise, y, rtol=1e-12)
-
-    def test_invalid_permutation(self):
-        p = two_point_problem()
-        with pytest.raises(ValueError):
-            epoch_map(p, [0, 0], 0.1)
+        np.testing.assert_allclose(contraction * x + eta * noise, y, rtol=1e-12)
 
 
 class TestClosedForm:
@@ -222,8 +208,8 @@ class TestClosedForm:
         cfg = RunConfig(scheme=Scheme.SINGLE_SHUFFLE, eta=0.25, epochs=2, x0=[2.0], seed=9)
         perms = []
         traj = run_sgd_closed_form(p, cfg, perm_log=perms)
-        m = epoch_map(p, perms[0], 0.25)
-        s, x = m.contraction[0], m.noise[0]
+        contraction, noise = sequence_map(p, perms[0], 0.25)
+        s, x = contraction[0], noise[0]
         assert traj.points[1][0] == pytest.approx(s**2 * 2.0 + 0.25 * (1 + s) * x, rel=1e-12)
 
     def test_zero_curvature_coordinate_takes_limit_branch(self):
@@ -233,8 +219,8 @@ class TestClosedForm:
                           lam=1.0, lam_max=1.0, smooth_l=1.0, grad_bound=1.0)
         cfg = RunConfig(scheme=Scheme.SINGLE_SHUFFLE, eta=0.1, epochs=5, x0=[1.0, 2.0], seed=0)
         traj = run_sgd_closed_form(p, cfg)
-        m = epoch_map(p, [0, 1], 0.1)
-        assert m.contraction[1] == 1.0
+        contraction, _ = sequence_map(p, [0, 1], 0.1)
+        assert contraction[1] == 1.0
         # X in the flat coordinate telescopes to sum(b) = 0, so x stays put
         assert traj.points[-1][1] == pytest.approx(2.0, rel=1e-12)
         ref = run_sgd(p, cfg)
@@ -297,8 +283,8 @@ def per_epoch_closed_form(p: model.Problem, cfg: RunConfig):
             seq = perms[0]
         if cfg.scheme is not Scheme.SINGLE_SHUFFLE:
             perms.append(seq)
-        m = engine.sequence_map(p, seq, cfg.eta)
-        y = m.contraction * y + cfg.eta * m.noise
+        contraction, noise = sequence_map(p, seq, cfg.eta)
+        y = contraction * y + cfg.eta * noise
         ys.append(y)
     points = np.array(ys)
     if p.conjugation is not None:
@@ -463,6 +449,8 @@ class TestFinalLosses:
         (0.1, 0, [0], "epochs must be >= 1"),
         (0.1, 3, [0, -1], "seed must fit in 64 unsigned bits"),
         (0.1, 3, [2**64], "seed must fit in 64 unsigned bits"),
+        (math.nan, 3, [0], "^eta must be finite, got nan$"),
+        (math.inf, 3, [0], "^eta must be finite, got inf$"),
     ])
     def test_bad_input_rejected_like_run_config(self, eta, k, seeds, message):
         p = two_point_problem()

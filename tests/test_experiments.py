@@ -48,6 +48,8 @@ class TestPlan:
             tiny_plan(seeds=0)
         with pytest.raises(ValueError):
             tiny_plan(construction="xx")
+        with pytest.raises(ValueError, match="^eta must be finite, got nan$"):
+            tiny_plan(eta_rule=math.nan)
 
     def test_eta_rules(self):
         assert tiny_plan().eta_for(4) == pytest.approx(math.log(32) / 32)

@@ -5,7 +5,6 @@ import pytest
 
 from shufflelab import model
 from shufflelab.model import (
-    Component,
     Problem,
     build_rr_construction,
     build_ss_construction,
@@ -212,7 +211,9 @@ class TestConjugation:
     def test_dense_matrices_match_gradient(self):
         p = conjugate(build_ss_construction(4, 1.0, 1.0, 2.0), rotation(1.1))
         x = np.array([0.4, -0.2])
-        A0, b0 = model.dense_component_matrices(p, 0)
+        O = p.conjugation
+        A0 = O @ np.diag(p.curvature_matrix[0]) @ O.T
+        b0 = O @ p.linear_matrix[0]
         np.testing.assert_allclose(A0 @ x - b0, component_gradient(p, 0, x), rtol=1e-12)
 
 
@@ -241,6 +242,22 @@ class TestSerialization:
                             "grad_bound", "components"}
         assert set(doc["components"][0]) == {"curvatures", "linear"}
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["components"].pop(), "component count does not match n"),
+        (lambda doc: doc["components"][1]["linear"].append(0.0),
+         "all components must have dimension dim"),
+        (lambda doc: doc["components"][2]["curvatures"].pop(),
+         "all components must have dimension dim"),
+        (lambda doc: doc["components"][0]["curvatures"].__setitem__(0, -0.1),
+         "component curvatures must be nonnegative"),
+    ])
+    def test_reader_rejects_malformed_documents(self, edit, message):
+        doc = build_rr_construction(4, 1.0, 1.0, 2.0).to_json_dict()
+        model.problem_from_json_dict(doc)
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            model.problem_from_json_dict(doc)
+
 
 class TestPresets:
     def test_worst_case_saturates_gradient_bound(self):
@@ -261,8 +278,9 @@ class TestPresets:
 
 class TestInvariants:
     def test_component_rejects_negative_curvature(self):
-        with pytest.raises(ValueError):
-            Component(curvatures=[-0.1], linear=[0.0])
+        with pytest.raises(ValueError, match="component curvatures must be nonnegative"):
+            Problem(curvature_matrix=[[1.0], [-0.1]], linear_matrix=[[0.0], [0.0]],
+                    lam=0.1, lam_max=1.0, smooth_l=1.0, grad_bound=1.0)
 
     def test_problem_rejects_weak_mean_curvature(self):
         with pytest.raises(ValueError):
