@@ -28,7 +28,6 @@ from .analysis import (
     PermutationMoments,
     MomentState,
     UnsupportedInstanceError,
-    enumerate_balanced_patterns,
     beta_exact,
     beta_lower_envelope,
     keyup_quantity,

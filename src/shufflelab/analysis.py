@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from . import engine as _engine
 from .model import Problem, _to_diag_frame
 
 ENUMERATION_CAP = 16
-DEFAULT_DELTA = 0.05
 
 
 class UnsupportedInstanceError(ValueError):
@@ -56,21 +55,6 @@ def _pattern_matrix(n: int) -> np.ndarray:
     np.put_along_axis(mat, combos, 1, axis=1)
     mat.flags.writeable = False
     return mat
-
-
-def enumerate_balanced_patterns(n: int) -> Iterator[Tuple[int, ...]]:
-    """Yield each balanced arrangement of n/2 zeros and n/2 ones exactly once.
-
-    Under a uniform permutation of two interchangeable component types the
-    arrangements are equiprobable, so consumers weight each by 1/C(n, n/2).
-    """
-    _check_enumerable(n)
-    for row in _pattern_matrix(n):
-        yield tuple(int(v) for v in row)
-
-
-def pattern_count(n: int) -> int:
-    return math.comb(n, n // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -167,23 +151,9 @@ def two_valued_tail_products(a, b, eta: float) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def expected_keyup_square(alphas, betas) -> float:
-    """E over uniform permutations of keyup_quantity^2, exact.
-
-    Two-valued balanced (alpha, beta) pairs enumerate over balanced patterns;
-    otherwise all n! permutations are enumerated (n <= 8).
-    """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    betas = np.asarray(betas, dtype=np.float64)
-    n = alphas.shape[0]
-    try:
-        _, q = two_valued_tail_products(alphas, betas, 1.0)
-    except UnsupportedInstanceError:
-        if n > 8:
-            raise UnsupportedInstanceError(
-                "exact expectation needs two-valued balanced data or n <= 8"
-            ) from None
-        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-        _, q = _engine.tail_products(1.0 - alphas[perms], betas[perms])
+    """E over uniform permutations of keyup_quantity^2, exact, for the
+    two-valued balanced (alpha, beta) data of `two_valued_tail_products`."""
+    _, q = two_valued_tail_products(alphas, betas, 1.0)
     return float(np.mean(q * q))
 
 
@@ -231,8 +201,9 @@ def sum_prod_expectation_exact(n: int, eta: float, lam_max: float) -> float:
     For eta <= 1/(lam_max n) the value is certified against the proven ceiling
     -eta*lam_max*n/8 (tripwire; enumeration is exact so it cannot fire).
     """
+    _engine.check_eta(eta)
     _check_enumerable(n)
-    if eta < 0 or eta * lam_max > 1:
+    if eta * lam_max > 1:
         raise ValueError("need 0 <= eta*lam_max <= 1")
     _, q = _alternating_tail_values(n, eta, lam_max)
     value = float(np.mean(q))
@@ -247,10 +218,11 @@ def stochastic_terms_exact(n: int, eta: float, lam_max: float) -> float:
     Only claimed (and only accepted) for eta <= 1/(lam_max n), where it is
     certified against the ceiling -eta*lam_max*n/16.
     """
+    _engine.check_eta(eta)
     _check_enumerable(n)
     if lam_max <= 0:
         raise ValueError("lam_max must be positive")
-    if eta < 0 or eta * lam_max * n > 1.0 + 1e-12:
+    if eta * lam_max * n > 1.0 + 1e-12:
         raise ValueError(
             f"stochastic_terms_exact requires eta <= 1/(lam_max*n), got eta={eta}"
         )
@@ -264,9 +236,16 @@ def stochastic_terms_exact(n: int, eta: float, lam_max: float) -> float:
 # per-epoch moments and analytic expected losses
 
 
+def _variance_negative(second, mean) -> bool:
+    """True where E[X^2] < E[X]^2 beyond rounding; the slack scales with the
+    squared mean being compared."""
+    return bool(np.any(second < mean**2 - 1e-12 * np.maximum(1.0, mean**2)))
+
+
 @dataclass(frozen=True)
 class PermutationMoments:
-    """Moments of (P, Q) for one coordinate under a uniform permutation."""
+    """Moments of (P, Q) under a uniform permutation: scalars for one
+    coordinate, or (d,) arrays with one entry per coordinate."""
 
     e_p: float
     e_p2: float
@@ -275,10 +254,9 @@ class PermutationMoments:
     e_pq: float
 
     def __post_init__(self):
-        # rounding slack scales with the squared mean being compared
-        if self.e_p2 < self.e_p**2 - 1e-12 * max(1.0, self.e_p**2):
+        if _variance_negative(self.e_p2, self.e_p):
             raise ValueError("E[P^2] below E[P]^2: variance would be negative")
-        if self.e_q2 < self.e_q**2 - 1e-12 * max(1.0, self.e_q**2):
+        if _variance_negative(self.e_q2, self.e_q):
             raise ValueError("E[Q^2] below E[Q]^2: variance would be negative")
 
 
@@ -292,9 +270,15 @@ class MomentState:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
         object.__setattr__(self, "second", np.asarray(self.second, dtype=np.float64))
-        # rounding slack scales with the squared mean being compared
-        if np.any(self.second < self.mean**2 - 1e-12 * np.maximum(1.0, self.mean**2)):
+        if _variance_negative(self.second, self.mean):
             raise ValueError("second moment below squared mean")
+
+
+def _moments_of(a, b, eta: float) -> Tuple[float, ...]:
+    """(E[P], E[P^2], E[Q], E[Q^2], E[PQ]) of one coordinate's data, exactly."""
+    p_vals, q_vals = two_valued_tail_products(a, b, eta)
+    return (float(np.mean(p_vals)), float(np.mean(p_vals**2)), float(np.mean(q_vals)),
+            float(np.mean(q_vals**2)), float(np.mean(p_vals * q_vals)))
 
 
 def permutation_moments(curvatures, linears, eta: float) -> PermutationMoments:
@@ -303,36 +287,28 @@ def permutation_moments(curvatures, linears, eta: float) -> PermutationMoments:
     Needs at most two distinct (a, b) pairs with balanced counts and n <= 16
     (see `two_valued_tail_products`).
     """
+    _engine.check_eta(eta)
     a = np.asarray(curvatures, dtype=np.float64)
     b = np.asarray(linears, dtype=np.float64)
     if b.shape != (a.shape[0],):
         raise ValueError("curvatures and linears must have equal length")
-    p_vals, q_vals = two_valued_tail_products(a, b, eta)
-    return PermutationMoments(
-        e_p=float(np.mean(p_vals)),
-        e_p2=float(np.mean(p_vals**2)),
-        e_q=float(np.mean(q_vals)),
-        e_q2=float(np.mean(q_vals**2)),
-        e_pq=float(np.mean(p_vals * q_vals)),
-    )
+    return PermutationMoments(*_moments_of(a, b, eta))
 
 
-def _coordinate_moments(p: Problem, eta: float) -> list:
-    return [permutation_moments(p.curvature_matrix[:, j], p.linear_matrix[:, j], eta)
-            for j in range(p.dim)]
+def _coordinate_moments(p: Problem, eta: float) -> PermutationMoments:
+    """The moment table: every coordinate's moments, each field a (d,) array."""
+    table = np.array([_moments_of(a, b, eta)
+                      for a, b in zip(p.curvature_matrix.T, p.linear_matrix.T)])
+    return PermutationMoments(*table.T)
 
 
-def evolve_moment_state(state: MomentState, moments: Sequence[PermutationMoments],
+def evolve_moment_state(state: MomentState, m: PermutationMoments,
                         eta: float) -> MomentState:
     """One epoch of the exact mean/second-moment recursion, per coordinate."""
-    mean = np.array([m.e_p * x + eta * m.e_q for m, x in zip(moments, state.mean)])
-    second = np.array(
-        [
-            m.e_p2 * s + 2.0 * eta * m.e_pq * x + eta**2 * m.e_q2
-            for m, x, s in zip(moments, state.mean, state.second)
-        ]
+    return MomentState(
+        mean=m.e_p * state.mean + eta * m.e_q,
+        second=m.e_p2 * state.second + 2.0 * eta * m.e_pq * state.mean + eta**2 * m.e_q2,
     )
-    return MomentState(mean=mean, second=second)
 
 
 def _loss_from_moments(p: Problem, state: MomentState) -> float:
@@ -347,6 +323,7 @@ def expected_loss_rr_analytic(p: Problem, eta: float, k: int, x0) -> float:
     Fresh permutations make x_t independent of the next epoch's (P, Q), so the
     per-coordinate recursion closes over (E[x], E[x^2]).
     """
+    _engine.check_eta(eta)
     if k < 0:
         raise ValueError("k must be nonnegative")
     y0 = _to_diag_frame(p, x0)
@@ -358,27 +335,22 @@ def expected_loss_rr_analytic(p: Problem, eta: float, k: int, x0) -> float:
 
 
 def expected_loss_ss_exact(p: Problem, eta: float, k: int, x0) -> float:
-    """Exact E[F(x_k)] under single shuffling: average the closed form over
-    the shared permutation, coordinate by coordinate."""
+    """Exact E[F(x_k)] under single shuffling: average the closed form
+    x_k = S^k y0 + eta (1-S^k)/(1-S) Q over the shared permutation, where
+    the epoch product S is the same for every permutation."""
+    _engine.check_eta(eta)
     if k < 0:
         raise ValueError("k must be nonnegative")
     y0 = _to_diag_frame(p, x0)
-    moments = _coordinate_moments(p, eta)
-    a_bar = p.mean_curvature
-    b_bar = p.mean_linear
-    total = 0.0
-    for j in range(p.dim):
-        s = float(np.prod(1.0 - eta * p.curvature_matrix[:, j]))
-        g = float(_engine._geometric_factor(s, k))
-        m = moments[j]
-        mean = s**k * y0[j] + eta * g * m.e_q
-        second = (
-            s ** (2 * k) * y0[j] ** 2
-            + 2.0 * s**k * y0[j] * eta * g * m.e_q
-            + eta**2 * g**2 * m.e_q2
-        )
-        total += 0.5 * a_bar[j] * second - b_bar[j] * mean
-    return float(total)
+    m = _coordinate_moments(p, eta)
+    s = np.prod(1.0 - eta * p.curvature_matrix, axis=0)
+    g = _engine._geometric_factor(s, k)
+    state = MomentState(
+        mean=s**k * y0 + eta * g * m.e_q,
+        second=s ** (2 * k) * y0**2 + 2.0 * s**k * y0 * eta * g * m.e_q
+        + eta**2 * g**2 * m.e_q2,
+    )
+    return _loss_from_moments(p, state)
 
 
 def expected_loss_ss_formula(n: int, k: int, eta: float, G: float, lam: float,

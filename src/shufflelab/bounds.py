@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 
 THEOREM_IDS = ("SS-LOWER", "RR-LOWER", "SS-UPPER", "RR-UPPER", "WR-BASELINE")
+# failure probability of the explicit high-probability forms
+DEFAULT_DELTA = 0.05
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ def rr_upper(n: int, k: int, G: float, lam: float, lam_max: float,
 
 
 def ss_upper_high_prob(n: int, k: int, G: float, lam: float, a_bar: float,
-                       delta: float = 0.05, c: float = 1.0) -> float:
+                       delta: float = DEFAULT_DELTA, c: float = 1.0) -> float:
     """Explicit high-probability form:
     c * log^2(8n/delta) * log^2(nk) * G^2/(lam n k) * min{1, (a_bar/lam)/k}."""
     _check_positive(n=n, k=k, G=G, lam=lam, a_bar=a_bar, c=c)

@@ -16,9 +16,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from . import analysis
+from . import analysis, bounds
 
-DEFAULT_DELTA = analysis.DEFAULT_DELTA
 CALIBRATION_RESOURCE = "data/calibration.json"
 
 CALIBRATION_GRID_N = tuple(range(4, 17, 2))
@@ -29,7 +28,7 @@ _GRID_DESCRIPTION = (
 )
 
 
-def keyup_square_envelope(n: int, alpha_bar: float, delta: float = DEFAULT_DELTA,
+def keyup_square_envelope(n: int, alpha_bar: float, delta: float = bounds.DEFAULT_DELTA,
                           c: float = 1.0) -> float:
     """c * log^2(8n/delta) * min{1/alpha_bar, n^3 alpha_bar^2}."""
     if alpha_bar <= 0:
@@ -77,7 +76,7 @@ def _shape_data(shape: str, n: int, alpha: float):
     return alphas, betas
 
 
-def measure_constants(delta: float = DEFAULT_DELTA) -> Dict[str, dict]:
+def measure_constants() -> Dict[str, dict]:
     """Sweep the enumeration grid and record every envelope ratio extreme."""
     beta_lo, beta_hi = math.inf, -math.inf
     keyup_hi = -math.inf
@@ -94,7 +93,7 @@ def measure_constants(delta: float = DEFAULT_DELTA) -> Dict[str, dict]:
                 abar = float(np.mean(alphas))
                 _, q = analysis.two_valued_tail_products(alphas, betas, 1.0)
                 e_abs, e_sq = float(np.mean(np.abs(q))), float(np.mean(q * q))
-                keyup_hi = max(keyup_hi, e_sq / keyup_square_envelope(n, abar, delta))
+                keyup_hi = max(keyup_hi, e_sq / keyup_square_envelope(n, abar))
                 if n * abar <= 0.5:
                     c2_hi = max(c2_hi, e_sq / rv_sq_envelope(n, abar))
                     c1_hi = max(c1_hi, e_abs / rv_abs_envelope(n, abar))
@@ -120,8 +119,8 @@ def measure_constants(delta: float = DEFAULT_DELTA) -> Dict[str, dict]:
     }
 
 
-def write_calibration(path, delta: float = DEFAULT_DELTA) -> Dict[str, dict]:
-    doc = measure_constants(delta)
+def write_calibration(path) -> Dict[str, dict]:
+    doc = measure_constants()
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--lambda-max", dest="lam_max", type=float, default=200.0)
     bnd.add_argument("--c", type=float, default=1.0, help="constant for the lower bounds")
     bnd.add_argument("--c-log", type=float, default=1.0, help="polylog knob for the upper bounds")
-    bnd.add_argument("--delta", type=float, default=0.05,
+    bnd.add_argument("--delta", type=float, default=bounds.DEFAULT_DELTA,
                      help="confidence for the explicit high-probability form")
     bnd.add_argument("--d", type=int, default=1, help="dimension multiplier for upper bounds")
 
@@ -155,13 +155,16 @@ def _cmd_simulate(args, parser) -> int:
 
 def _cmd_oracle(args, parser) -> int:
     q = args.quantity
-    if q in ("beta", "perm-moment", "sum-prod", "stochastic-terms"):
+    if q in ("beta", "sum-prod", "stochastic-terms"):
         if args.n < 2 or args.n % 2 != 0 or args.n > analysis.ENUMERATION_CAP:
             parser.error(
                 f"--n must be even and within [2, {analysis.ENUMERATION_CAP}] "
                 f"for enumeration oracles, got {args.n}"
             )
-        if q == "perm-moment" and not 1 <= args.m <= args.n - 1:
+    if q == "perm-moment":  # closed form: no enumeration cap
+        if args.n < 2 or args.n % 2 != 0:
+            parser.error(f"--n must be even and >= 2, got {args.n}")
+        if not 1 <= args.m <= args.n - 1:
             parser.error(f"--m must lie in 1..n-1, got {args.m}")
     row = None
     if q == "beta":

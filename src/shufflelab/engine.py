@@ -94,10 +94,6 @@ class Trajectory:
     rng_algorithm_id: str = RNG_ALGORITHM_ID
 
     @property
-    def final_point(self) -> np.ndarray:
-        return self.points[-1]
-
-    @property
     def final_loss(self) -> float:
         return float(self.losses[-1])
 
@@ -161,19 +157,12 @@ def _fisher_yates(draws: np.ndarray) -> np.ndarray:
     return work.reshape(rows, n)
 
 
-def _permutation_rows(n: int, rows: int, rng: np.random.Generator) -> np.ndarray:
-    """`rows` uniform permutations of range(n), shape (rows, n), from one
-    `rng.integers` call over the bounds n, n-1, ..., 2 repeated `rows`
-    times: the stream of `rows` one-permutation calls."""
-    return _fisher_yates(_draws(Scheme.RANDOM_RESHUFFLE, n, rows, rng))
-
-
 def sample_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform permutation of range(n) by high-to-low Fisher-Yates: the
     one-row case of the chunked sampler, consuming n-1 draws (none at n=1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _permutation_rows(n, 1, rng)[0]
+    return _fisher_yates(_draws(Scheme.RANDOM_RESHUFFLE, n, 1, rng))[0]
 
 
 def _warn_if_large_eta(p: Problem, eta: float):

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -12,7 +11,6 @@ from shufflelab.analysis import (
     UnsupportedInstanceError,
     beta_exact,
     beta_lower_envelope,
-    enumerate_balanced_patterns,
     evolve_moment_state,
     expected_keyup_square,
     expected_loss_rr_analytic,
@@ -29,26 +27,30 @@ from shufflelab.analysis import (
 )
 
 
+BAD_ETAS = [(math.nan, "eta must be finite"), (math.inf, "eta must be finite"),
+            (-0.5, "eta must be nonnegative")]
+
+
 class TestPatterns:
     def test_n2(self):
-        assert set(enumerate_balanced_patterns(2)) == {(0, 1), (1, 0)}
+        assert set(map(tuple, analysis._pattern_matrix(2).tolist())) == {(0, 1), (1, 0)}
 
     def test_counts(self):
-        assert len(list(enumerate_balanced_patterns(4))) == 6
-        assert analysis.pattern_count(16) == 12870
+        assert len(analysis._pattern_matrix(4)) == 6
+        assert analysis._pattern_matrix(16).shape[0] == 12870
 
     def test_each_balanced(self):
-        for pat in enumerate_balanced_patterns(6):
+        for pat in analysis._pattern_matrix(6):
             assert sum(pat) == 3
 
     @pytest.mark.parametrize("n", [3, 18, 0])
     def test_rejects_odd_or_oversized(self, n):
         with pytest.raises(ValueError):
-            list(enumerate_balanced_patterns(n))
+            analysis._pattern_matrix(n)
 
     def test_rational_weights_sum_to_one(self):
-        n = 6
-        total = sum(Fraction(1, analysis.pattern_count(n)) for _ in enumerate_balanced_patterns(n))
+        mat = analysis._pattern_matrix(6)
+        total = sum(Fraction(1, mat.shape[0]) for _ in mat)
         assert total == 1
 
 
@@ -161,20 +163,9 @@ class TestKeyup:
                 beta_exact(n, alpha, 1.0), rel=1e-12
             )
 
-    def test_expected_square_general_small_n(self):
-        # full n! enumeration path against a direct average
-        rng = np.random.default_rng(5)
-        n = 4
-        alphas = rng.uniform(0, 1, n)
-        betas = rng.uniform(-1, 1, n)
-        betas -= betas.mean()
-        direct = np.mean(
-            [
-                keyup_quantity(alphas, betas, perm) ** 2
-                for perm in itertools.permutations(range(n))
-            ]
-        )
-        assert expected_keyup_square(alphas, betas) == pytest.approx(direct, rel=1e-12)
+    def test_expected_square_needs_two_valued_data(self):
+        with pytest.raises(UnsupportedInstanceError):
+            expected_keyup_square([0.1, 0.2, 0.3, 0.4], [0.5, -0.5, 0.25, -0.25])
 
 
 class TestPermMoment:
@@ -231,6 +222,13 @@ class TestAlternatingSums:
         with pytest.raises(ValueError):
             stochastic_terms_exact(4, 0.5, 1.0)  # eta*lam_max*n = 2 > 1
 
+    @pytest.mark.parametrize("eta,message", BAD_ETAS)
+    def test_bad_eta_rejected(self, eta, message):
+        with pytest.raises(ValueError, match=message):
+            sum_prod_expectation_exact(4, eta, 1.0)
+        with pytest.raises(ValueError, match=message):
+            stochastic_terms_exact(4, eta, 1.0)
+
 
 class TestPermutationMoments:
     def test_zero_linears(self):
@@ -258,6 +256,11 @@ class TestPermutationMoments:
     def test_moment_state_guards_variance(self):
         with pytest.raises(ValueError):
             MomentState(mean=[2.0], second=[1.0])
+
+    @pytest.mark.parametrize("eta,message", BAD_ETAS)
+    def test_bad_eta_rejected(self, eta, message):
+        with pytest.raises(ValueError, match=message):
+            permutation_moments([2.0] * 4, [0.5, 0.5, -0.5, -0.5], eta)
 
 
 class TestScaleAwareTolerances:
@@ -308,7 +311,7 @@ class TestExpectedLossRR:
         type_b = [i for i in range(p.n) if i >= p.n // 2]
         total = 0.0
         count = 0
-        for pat in enumerate_balanced_patterns(p.n):
+        for pat in analysis._pattern_matrix(p.n):
             ia, ib = iter(type_a), iter(type_b)
             seq = [next(ia) if v == 1 else next(ib) for v in pat]
             contraction, noise = engine.sequence_map(p, seq, eta)
@@ -338,6 +341,12 @@ class TestExpectedLossRR:
         mean, se = mc_expected_loss(p, engine.Scheme.RANDOM_RESHUFFLE, eta, 5, x0,
                                     runs=4000, seed=6)
         assert abs(ana - mean) <= 3 * se
+
+    @pytest.mark.parametrize("eta,message", BAD_ETAS)
+    def test_bad_eta_rejected(self, eta, message):
+        p = model.build_rr_construction(6, 1.0, 1.0, 4.0)
+        with pytest.raises(ValueError, match=message):
+            expected_loss_rr_analytic(p, eta, 3, np.zeros(3))
 
     def test_oversized_n_names_the_monte_carlo_route(self):
         p = model.build_rr_construction(18, 1.0, 1.0, 4.0)
@@ -393,6 +402,12 @@ class TestExpectedLossSS:
                                     runs=4000, seed=8)
         assert abs(exact - mean) <= 3 * se
 
+    @pytest.mark.parametrize("eta,message", BAD_ETAS)
+    def test_bad_eta_rejected(self, eta, message):
+        p = model.build_ss_construction(6, 1.0, 1.0, 4.0)
+        with pytest.raises(ValueError, match=message):
+            expected_loss_ss_exact(p, eta, 3, np.zeros(2))
+
     def test_conjugated_problem_same_expected_loss(self):
         p = model.build_ss_construction(6, 1.0, 1.0, 3.0)
         theta = 0.6
@@ -402,6 +417,80 @@ class TestExpectedLossSS:
         assert expected_loss_ss_exact(pc, 0.05, 3, O @ x0) == pytest.approx(
             expected_loss_ss_exact(p, 0.05, 3, x0), rel=1e-12
         )
+
+
+def ss_loss_per_coordinate(p, eta, k, x0):
+    """E[F(x_k)] under single shuffling, one coordinate at a time in scalars."""
+    y0 = p.conjugation.T @ x0 if p.conjugation is not None else np.asarray(x0)
+    total = 0.0
+    for j in range(p.dim):
+        m = permutation_moments(p.curvature_matrix[:, j], p.linear_matrix[:, j], eta)
+        s = float(np.prod(1.0 - eta * p.curvature_matrix[:, j]))
+        g = float(k) if s == 1.0 else (1.0 - s**k) / (1.0 - s)
+        mean = s**k * y0[j] + eta * g * m.e_q
+        second = (s**k * y0[j]) ** 2 + 2.0 * s**k * y0[j] * eta * g * m.e_q \
+            + (eta * g) ** 2 * m.e_q2
+        total += 0.5 * p.mean_curvature[j] * second - p.mean_linear[j] * mean
+    return total
+
+
+class TestMomentTable:
+    """The (d,)-array moment table against a per-coordinate scalar loop."""
+
+    @staticmethod
+    def flat_balanced_problem():
+        # coordinate 2 has zero curvature everywhere and balanced linear
+        # terms: its epoch product is exactly 1, the k-limit branch
+        half = 3
+        return model.Problem(
+            curvature_matrix=[[1.0, 4.0, 0.0]] * half + [[1.0, 0.0, 0.0]] * half,
+            linear_matrix=[[0.0, -0.5, 0.25]] * half + [[0.0, 0.5, -0.25]] * half,
+            lam=1.0, lam_max=2.0, smooth_l=4.0, grad_bound=1.0,
+        )
+
+    @staticmethod
+    def rotated_rr_problem():
+        o, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((3, 3)))
+        return model.conjugate(model.build_rr_construction(8, 1.0, 1.0, 4.0), o)
+
+    @pytest.mark.parametrize("which", ["flat_balanced_problem", "rotated_rr_problem"])
+    def test_ss_exact_matches_per_coordinate_loop(self, which):
+        p = getattr(self, which)()
+        x0 = np.array([1.0, -0.5, 0.75])
+        for eta in (0.01, 0.05, 0.2):
+            for k in (0, 1, 3, 10):
+                got = expected_loss_ss_exact(p, eta, k, x0)
+                ref = ss_loss_per_coordinate(p, eta, k, x0)
+                assert got == pytest.approx(ref, rel=1e-14, abs=0.0), (eta, k)
+
+    def test_table_fields_are_per_coordinate_arrays(self):
+        p = self.flat_balanced_problem()
+        table = analysis._coordinate_moments(p, 0.1)
+        assert table.e_p.shape == (3,) and table.e_p[2] == 1.0  # the flat coordinate
+        for j in range(p.dim):
+            m = permutation_moments(p.curvature_matrix[:, j], p.linear_matrix[:, j], 0.1)
+            for field in ("e_p", "e_p2", "e_q", "e_q2", "e_pq"):
+                assert getattr(table, field)[j] == getattr(m, field)
+
+    def test_negative_variance_in_one_coordinate_rejected(self):
+        ok, zero = np.array([0.5, 0.5]), np.zeros(2)
+        with pytest.raises(ValueError, match=r"E\[P\^2\]"):
+            analysis.PermutationMoments(e_p=ok, e_p2=np.array([0.25, 0.2]),
+                                        e_q=zero, e_q2=zero, e_pq=zero)
+        with pytest.raises(ValueError, match=r"E\[Q\^2\]"):
+            analysis.PermutationMoments(e_p=ok, e_p2=ok**2, e_q=np.array([0.0, 1e3]),
+                                        e_q2=np.array([0.0, 0.999e6]), e_pq=zero)
+
+    def test_large_magnitudes_accepted(self):
+        # the TestScaleAwareTolerances cases, as columns of one table
+        b = np.repeat([8.292244049818343, -40.057621892523045], 4)
+        flat = permutation_moments(np.zeros(8), b, 0.1)
+        steep = permutation_moments(np.full(8, 2.0), 1e4 * np.repeat([0.5, -0.5], 4), 0.1)
+        columns = [(m.e_p, m.e_p2, m.e_q, m.e_q2, m.e_pq) for m in (flat, steep)]
+        analysis.PermutationMoments(*np.array(columns).T)
+        eta = engine.recommended_eta(6, 5, 1.0)
+        table = analysis._coordinate_moments(model.build_rr_construction(6, 1e4, 1.0, 2.0), eta)
+        assert table.e_q2.shape == (3,)
 
 
 @given(

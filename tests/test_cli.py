@@ -112,6 +112,25 @@ class TestOracle:
         assert exc.value.code == 2
         assert "even" in capsys.readouterr().err
 
+    def test_exact_loss_rejects_bad_eta(self, capsys):
+        for quantity, eta, message in (("loss-rr", "nan", "eta must be finite"),
+                                       ("loss-ss", "-0.5", "eta must be nonnegative")):
+            code, out, err = run_cli(capsys, "oracle", "--quantity", quantity, "--n", "10",
+                                     "--k", "3", "--eta", eta)
+            assert code == 1 and out == ""
+            assert message in err
+
+    def test_perm_moment_is_not_capped(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "--quantity", "perm-moment",
+                               "--n", "18", "--m", "1")
+        assert code == 0
+        assert "(= 1/34)" in out
+        for bad in (["--n", "17", "--m", "1"], ["--n", "18", "--m", "18"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["oracle", "--quantity", "perm-moment", *bad])
+            assert exc.value.code == 2
+        assert "--m must lie in" in capsys.readouterr().err
+
     def test_loss_rr_exact_vs_mc(self, capsys):
         base = ["oracle", "--quantity", "loss-rr", "--n", "10", "--k", "3",
                 "--auto-eta", "--lambda-max", "4.0"]

@@ -320,7 +320,8 @@ class TestChunkedStream:
     def test_permutation_rows_equal_swap_loop(self, n):
         for seed in (0, 5):
             rows_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            rows = engine._permutation_rows(n, 6, rows_rng)
+            rows = engine._fisher_yates(engine._draws(engine.Scheme.RANDOM_RESHUFFLE, n, 6,
+                                                      rows_rng))
             assert rows.shape == (6, n) and rows.flags.c_contiguous
             for row in rows:
                 np.testing.assert_array_equal(row, swap_loop_permutation(n, loop_rng))
