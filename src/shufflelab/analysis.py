@@ -203,6 +203,8 @@ def sum_prod_expectation_exact(n: int, eta: float, lam_max: float) -> float:
     """
     _engine.check_eta(eta)
     _check_enumerable(n)
+    if lam_max < 0:
+        raise ValueError("lam_max must be nonnegative")
     if eta * lam_max > 1:
         raise ValueError("need 0 <= eta*lam_max <= 1")
     _, q = _alternating_tail_values(n, eta, lam_max)
@@ -327,6 +329,7 @@ def expected_loss_rr_analytic(p: Problem, eta: float, k: int, x0) -> float:
     if k < 0:
         raise ValueError("k must be nonnegative")
     y0 = _to_diag_frame(p, x0)
+    _engine._warn_if_large_eta(p, eta)
     moments = _coordinate_moments(p, eta)
     state = MomentState(mean=y0.copy(), second=y0 * y0)
     for _ in range(k):
@@ -342,6 +345,7 @@ def expected_loss_ss_exact(p: Problem, eta: float, k: int, x0) -> float:
     if k < 0:
         raise ValueError("k must be nonnegative")
     y0 = _to_diag_frame(p, x0)
+    _engine._warn_if_large_eta(p, eta)
     m = _coordinate_moments(p, eta)
     s = np.prod(1.0 - eta * p.curvature_matrix, axis=0)
     g = _engine._geometric_factor(s, k)

@@ -267,19 +267,23 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
     A chunk holds whole runs when k*n fits in `_CHUNK_ENTRIES`, else about
     `_CHUNK_ENTRIES // n` epochs of one run; a run's chunks come in epoch
     order.  Each run draws from its own generator (see the module
-    docstring); the chunk's rows then share one Fisher-Yates pass and one
-    `tail_products` call.  Single shuffling draws one permutation per run
-    and takes x_t = S^t x0 + eta * (1-S^t)/(1-S) * X for all k epochs at
-    once, so its chunks always hold whole runs; zero-curvature directions
-    (S == 1) take the t-limit.  The other schemes apply their maps in order
-    over the (runs, d) block.  `perm_log` collects the index sequences of a
-    single run.
+    docstring); the chunk's rows then share one Fisher-Yates pass, one
+    gather from the `[1 - eta*A | B]` table and one `tail_products` call.
+    Single shuffling draws one permutation per run and takes
+    x_t = S^t x0 + eta * (1-S^t)/(1-S) * X for all k epochs at once, so its
+    chunks always hold whole runs; zero-curvature directions (S == 1) take
+    the t-limit.  The other schemes scale the chunk's noise by eta once,
+    then apply their maps in order over the (runs, d) block.  `perm_log`
+    collects the index sequences of a single run.
     """
-    n = p.n
+    n, d = p.n, p.dim
     single = scheme is Scheme.SINGLE_SHUFFLE
     width = n if scheme is Scheme.WITH_REPLACEMENT else n - 1  # draws per epoch
     epochs = k if single else min(k, max(1, _CHUNK_ENTRIES // n))
     runs = max(1, _CHUNK_ENTRIES // (epochs * n))
+    # Row i is [1 - eta a_i | b_i], so one gather fetches a chunk's factors
+    # and coefficients.  The halves go to `tail_products` as views.
+    table = np.concatenate((1.0 - eta * p.curvature_matrix, p.linear_matrix), axis=1)
     for first in range(0, len(seeds), runs):
         block = seeds[first:first + runs]
         # Only a run alone in its block spans several chunks, so at most one
@@ -299,21 +303,22 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
                 draws.reshape(-1, width)).reshape(draws.shape[:-1] + (n,))
             if perm_log is not None:
                 perm_log.extend(np.array(seq) for seq in seqs)
-            # `draws` and `factors` stay bound until the next chunk replaces
+            # `draws` and `gathered` stay bound until the next chunk replaces
             # them.  Freed earlier, the allocator handed their pages back and
             # faulted them in again every chunk: at n=500, k=2000, ~5x the
-            # minor faults and ~20% more time for `factors`, and ~4800
+            # minor faults and ~20% more time for the gathered rows, and ~4800
             # against ~250 faults per random-reshuffling run for `draws`.
-            factors = 1.0 - eta * p.curvature_matrix[seqs]  # (drawn, [runs,] n, d)
-            contraction, noise = tail_products(np.swapaxes(factors, -1, -2),
-                                               np.swapaxes(p.linear_matrix[seqs], -1, -2))
+            gathered = np.take(table, seqs, axis=0)  # (drawn, [runs,] n, 2d)
+            contraction, noise = tail_products(np.swapaxes(gathered[..., :d], -1, -2),
+                                               np.swapaxes(gathered[..., d:], -1, -2))
             if single:
                 t = np.arange(1, k + 1).reshape((k,) + (1,) * (contraction.ndim - 1))
                 ys = contraction**t * y0 + eta * _geometric_factor(contraction, t) * noise
             else:
+                noise *= eta
                 ys = np.empty_like(contraction)
                 for t in range(c):
-                    y = ys[t] = contraction[t] * y + eta * noise[t]
+                    y = ys[t] = contraction[t] * y + noise[t]
             yield first, ys
 
 

@@ -209,8 +209,9 @@ def run_sweep(plan: SweepPlan, jobs: Optional[int] = None
               ) -> Tuple[List[SweepRecord], List[SweepSummary]]:
     """All three schemes over the plan's grid; deterministic given the plan.
 
-    Cells parallelize over (scheme, k); aggregation reads results back in
-    (scheme, k, seed) order, so worker scheduling never changes the output.
+    Cells parallelize over (scheme, k) and are submitted largest k first;
+    aggregation reads results back in (scheme, k, seed) order, so neither
+    submission order nor worker scheduling changes the output.
     """
     p, x0 = resolve_problem(plan)
     report = model.validate_assumptions(p, x0, max(plan.k_values))
@@ -222,7 +223,10 @@ def run_sweep(plan: SweepPlan, jobs: Optional[int] = None
         jobs = os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {t: pool.submit(_run_cell, plan, *t) for t in tasks}
+            # Largest k first, so the costliest cells do not start last and
+            # set the finish; the stable sort keeps scheme order within a k.
+            futures = {t: pool.submit(_run_cell, plan, *t)
+                       for t in sorted(tasks, key=lambda t: -t[1])}
             cells = {t: futures[t].result() for t in tasks}
     else:
         cells = {t: _run_cell(plan, *t) for t in tasks}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shufflelab import analysis, engine, model
+from shufflelab import analysis, calibrate, engine, model
 from shufflelab.analysis import (
     MomentState,
     UnsupportedInstanceError,
@@ -222,6 +222,10 @@ class TestAlternatingSums:
         with pytest.raises(ValueError):
             stochastic_terms_exact(4, 0.5, 1.0)  # eta*lam_max*n = 2 > 1
 
+    def test_sum_prod_rejects_negative_lam_max(self):
+        with pytest.raises(ValueError, match="lam_max must be nonnegative"):
+            sum_prod_expectation_exact(4, 0.1, -1.0)
+
     @pytest.mark.parametrize("eta,message", BAD_ETAS)
     def test_bad_eta_rejected(self, eta, message):
         with pytest.raises(ValueError, match=message):
@@ -417,6 +421,30 @@ class TestExpectedLossSS:
         assert expected_loss_ss_exact(pc, 0.05, 3, O @ x0) == pytest.approx(
             expected_loss_ss_exact(p, 0.05, 3, x0), rel=1e-12
         )
+
+
+class TestLargeEtaWarning:
+    """The exact oracles warn on eta*L > 1, as the Monte Carlo route does."""
+
+    BUILDS = (model.build_ss_construction, model.build_rr_construction,
+              model.build_rr_fig1_construction)
+    ORACLES = (expected_loss_rr_analytic, expected_loss_ss_exact)
+
+    @pytest.mark.parametrize("oracle", ORACLES)
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_warns_beyond_one(self, build, oracle):
+        p = build(6, 1.0, 1.0, 4.0)
+        with pytest.warns(RuntimeWarning, match=r"eta\*L"):
+            oracle(p, 0.5, 3, np.zeros(p.dim))
+
+    @pytest.mark.parametrize("oracle", ORACLES)
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_calibration_grid_is_silent(self, build, oracle):
+        # the suite turns warnings into errors, so a warning here fails
+        p = build(16, 1.0, 1.0, 4.0)
+        assert p.smooth_l == p.lam_max
+        for alpha in calibrate.CALIBRATION_GRID_ALPHA:
+            oracle(p, alpha / p.lam_max, 5, np.ones(p.dim))
 
 
 def ss_loss_per_coordinate(p, eta, k, x0):

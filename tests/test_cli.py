@@ -120,6 +120,13 @@ class TestOracle:
             assert code == 1 and out == ""
             assert message in err
 
+    def test_exact_loss_warns_on_large_eta(self, capsys):
+        for quantity in ("loss-ss", "loss-rr"):
+            with pytest.warns(RuntimeWarning, match=r"eta\*L = 4 > 1"):
+                code, out, _ = run_cli(capsys, "oracle", "--quantity", quantity, "--n", "10",
+                                       "--k", "3", "--eta", "1.0", "--lambda-max", "4")
+            assert code == 0 and "E[F(x_k)]" in out
+
     def test_perm_moment_is_not_capped(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--quantity", "perm-moment",
                                "--n", "18", "--m", "1")

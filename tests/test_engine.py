@@ -380,6 +380,26 @@ class TestChunkedRuns:
                         x0=[1.0, 0.5], seed=2021)
         self.assert_matches_reference(p, cfg)
 
+    @pytest.mark.parametrize("scheme", [Scheme.WITH_REPLACEMENT, Scheme.RANDOM_RESHUFFLE])
+    @pytest.mark.parametrize("case", ["desk-fig1-rr", "paper-ss", "rotated-rr"])
+    def test_points_bit_identical_to_reference(self, case, scheme):
+        # Both routes map an epoch through `tail_products` and apply it as
+        # contraction*y + eta*noise, so the iterates agree exactly.
+        if case == "rotated-rr":
+            O = random_rotation(3, np.random.default_rng(6))
+            p = model.conjugate(model.build_rr_construction(100, 1.0, 1.0, 8.0), O)
+            k, eta, x0 = 400, recommended_eta(100, 400, 1.0), O @ np.array([1.0, 0.5, -0.5])
+        else:
+            plan = (experiments.desk_plan("rr") if case == "desk-fig1-rr"
+                    else experiments.paper_plan("ss"))
+            k = max(plan.k_values)
+            p, x0 = experiments.resolve_problem(plan)
+            eta = plan.eta_for(k)
+        assert k > 2 * (engine._CHUNK_ENTRIES // p.n)
+        cfg = RunConfig(scheme=scheme, eta=eta, epochs=k, x0=x0, seed=2021)
+        points, _, _ = per_epoch_closed_form(p, cfg)
+        np.testing.assert_array_equal(run_sgd_closed_form(p, cfg).points, points)
+
 
 class TestFinalLosses:
     """Batched final losses against one `run_sgd_closed_form` call per run."""

@@ -1,5 +1,6 @@
 import json
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -236,6 +237,33 @@ class TestParallelDeterminism:
         serial = run_sweep(plan, jobs=1)
         parallel = run_sweep(plan, jobs=2)
         assert serial == parallel
+
+    def test_pool_submits_largest_k_first(self, monkeypatch):
+        submitted = []
+
+        class InlinePool:
+            """Runs each task on submission and records the order."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, plan, scheme, k):
+                submitted.append((scheme, k))
+                future = Future()
+                future.set_result(fn(plan, scheme, k))
+                return future
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        plan = tiny_plan(seeds=2)
+        parallel = run_sweep(plan, jobs=2)
+        assert submitted == [(s, k) for k in (4, 2, 1) for s in experiments.SCHEME_ORDER]
+        assert parallel == run_sweep(plan, jobs=1)
 
 
 class TestPlanMetadataEcho:
