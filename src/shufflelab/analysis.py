@@ -381,13 +381,14 @@ def mc_expected_loss(p: Problem, scheme: "_engine.Scheme", eta: float, k: int, x
                      runs: int, seed: int = 0) -> Tuple[float, float]:
     """Monte Carlo estimate of E[F(x_k)]: (mean, standard error of the mean).
 
-    Run r is seeded with `derive_run_seed(seed, r)`; `engine.final_losses`
-    runs all of them batched, each with its own generator, so every loss
-    equals that run's `run_sgd_closed_form` final loss bit for bit.
+    Run r is seeded with `derive_run_seed(seed, r)`, all runs' seeds in one
+    `engine.derive_seeds` call; `engine.final_losses` runs them batched,
+    each with its own generator, so every loss equals that run's
+    `run_sgd_closed_form` final loss bit for bit.
     """
     if runs < 2:
         raise ValueError("need at least 2 runs for a standard error")
-    seeds = [derive_run_seed(seed, r) for r in range(runs)]
+    seeds = _engine.derive_seeds(seed, np.arange(runs)[:, None])
     losses = _engine.final_losses(p, scheme, eta, k, x0, seeds)
     return float(np.mean(losses)), float(np.std(losses, ddof=1) / math.sqrt(runs))
 

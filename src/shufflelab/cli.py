@@ -264,6 +264,7 @@ def _prepare_out_dir(path: str, force: bool, parser) -> None:
 
 
 def _cmd_sweep(args, parser) -> int:
+    experiments.check_jobs(args.jobs)
     if args.plan:
         with open(args.plan) as fh:
             plan = experiments.plan_from_json_dict(json.load(fh))
@@ -314,6 +315,7 @@ def _fig1_overlays(plan: experiments.SweepPlan, summaries) -> list:
 
 
 def _cmd_reproduce_fig1(args, parser) -> int:
+    experiments.check_jobs(args.jobs)
     _prepare_out_dir(args.out_dir, args.force, parser)
     if args.scale == "paper":
         print(

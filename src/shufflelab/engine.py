@@ -19,15 +19,27 @@ number of calls, never the values drawn.
 one generator per run, seeded with that run's seed and making exactly that
 run's draws, so each run's stream is unchanged; only the Fisher-Yates pass,
 the tail products and the map recurrence are shared across the batch.
+
+Seeding is numpy's, computed in bulk.  Numpy's `SeedSequence` is a fixed
+integer hash of the seed's 32-bit words, so `_seed_states` evaluates it for
+many rows at once: `derive_seeds` takes the first uint64 word for every spawn
+key of a sweep cell or Monte Carlo estimate in one pass, and a batched block
+of runs hands each run's `SeedSequence(seed).generate_state(4, np.uint64)` to
+numpy's own `PCG64` through a preset seed sequence, so each generator starts
+in the state `np.random.default_rng(seed)` gives it.  A lone run, where the
+hash's fixed cost would dominate, calls `np.random.default_rng(seed)` itself.
+The tests and `verify` pin both routes to numpy's `SeedSequence` word for
+word.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -110,28 +122,187 @@ def recommended_eta(n: int, k: int, lam: float) -> float:
 
 def check_seed_base(entropy: int) -> None:
     """Reject a negative master seed: the one rule for every seed base that
-    `derive_seed` accepts."""
+    `derive_seeds` accepts."""
     if entropy < 0:
         raise ValueError(f"seed must be nonnegative, got {entropy}")
 
 
-def derive_seed(entropy: int, spawn_key: tuple) -> int:
-    """The one seed-derivation rule: the first uint64 word of
-    SeedSequence(entropy, spawn_key).  Sweeps and Monte Carlo estimates
-    derive every run seed through it, so each seed stays a pure function of
-    the master seed and the run's key."""
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
+# 32-bit words filled and cross-mixed by `hashmix`, whose multiplier advances
+# from INIT_A by MULT_A at every call, then read out by the same hash with
+# INIT_B and MULT_B.  uint32 array arithmetic wraps mod 2**32 as its C does.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The operands of `calls` successive `hashmix` calls as two (calls, 1)
+    uint32 arrays: a call xors with the current constant, advances it by
+    `mult` and multiplies by the new one."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    return consts[:-1], consts[1:]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ result >> _XSHIFT
+
+
+def _seed_sequence_state(words: np.ndarray, n_words: int) -> np.ndarray:
+    """`SeedSequence.generate_state(n_words, np.uint64)` for every row, shape
+    (n_words, rows), from `words`, the rows' assembled entropy as a
+    (word count, rows) uint32 array.
+
+    numpy's loops run in order, but the calls inside one step are
+    independent, so each step is one array expression: filling the pool,
+    mixing one source word into the three other pool words, mixing one
+    further entropy word into all four, and reading the state out.
+    """
+    length, rows = words.shape
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(length, _POOL_SIZE))
+    pool = np.zeros((_POOL_SIZE, rows), dtype=np.uint32)
+    pool[:length] = words[:_POOL_SIZE]
+    pool = _hashmix(pool, xor[:_POOL_SIZE], mult[:_POOL_SIZE])
+    call = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        calls = slice(call, call + len(dst))
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[calls], mult[calls]))
+        call += len(dst)
+    for word in words[_POOL_SIZE:]:
+        calls = slice(call, call + _POOL_SIZE)
+        pool = _mix(pool, _hashmix(word, xor[calls], mult[calls]))
+        call += _POOL_SIZE
+    xor, mult = _hash_constants(_INIT_B, _MULT_B, 2 * n_words)
+    out = _hashmix(pool[np.arange(2 * n_words) % _POOL_SIZE], xor, mult).astype(np.uint64)
+    return out[0::2] | out[1::2] << 32  # uint32 pairs read as little-endian uint64
+
+
+def _int_words(value: int) -> list:
+    """A nonnegative integer's 32-bit words, low first (0 is one word), as
+    numpy's `_int_to_uint32_array` splits it."""
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_states(values: np.ndarray, head: list, n_words: int) -> np.ndarray:
+    """`SeedSequence(...).generate_state(n_words, np.uint64)` for every row of
+    the nonnegative integer array `values`, shape (rows, n_words).
+
+    Row r's entropy words are `head` (the same for every row) followed by the
+    words of values[r, 0], values[r, 1], ..., each split like `_int_words`.
+    Rows whose integers split into the same word counts share one hash pass.
+    """
+    pieces, rest = [], values
+    counts = np.ones(values.shape, dtype=np.int64)
+    while True:
+        pieces.append((rest & _MASK32).astype(np.uint32))
+        rest = rest >> 32
+        more = rest > 0
+        if not more.any():
+            break
+        counts += more
+    layouts, group = np.unique(counts, axis=0, return_inverse=True)
+    group = group.reshape(-1)  # its shape varies across numpy 2.x releases
+    states = np.empty((len(values), n_words), dtype=np.uint64)
+    for g, layout in enumerate(layouts):
+        rows = np.flatnonzero(group == g)
+        words = [np.full(len(rows), w, dtype=np.uint32) for w in head]
+        words += [pieces[i][rows, j] for j, c in enumerate(layout) for i in range(c)]
+        states[rows] = _seed_sequence_state(np.stack(words), n_words).T
+    return states
+
+
+def derive_seeds(entropy: int, spawn_keys) -> List[int]:
+    """The one seed-derivation rule: entry r is the first uint64 word of
+    SeedSequence(entropy, spawn_keys[r]), for every key in one vectorized
+    pass.  Sweeps and Monte Carlo estimates derive their run seeds through
+    it, so each seed stays a pure function of the master seed and the run's
+    key.  Keys are equal-length sequences of nonnegative integers, or an
+    integer array of shape (keys, key length)."""
     check_seed_base(entropy)
-    ss = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
-    return int(ss.generate_state(1, np.uint64)[0])
+    keys = np.asarray(spawn_keys)
+    if keys.dtype.kind == "f":  # ints past int64 beside small ones promote to float
+        keys = np.asarray(spawn_keys, dtype=object)
+    if keys.size == 0:  # no keys, or keys without elements
+        keys = np.zeros((len(keys), 0), dtype=np.int64)
+    if keys.ndim != 2 or keys.dtype.kind not in "iuO":
+        raise ValueError("spawn keys must be equal-length sequences of integers")
+    if (keys < 0).any():
+        raise ValueError("spawn key elements must be nonnegative")
+    head = _int_words(int(entropy))
+    if keys.shape[1]:
+        # numpy zero-pads a short run entropy to the pool size under a spawn key
+        head += [0] * (_POOL_SIZE - len(head))
+    return _seed_states(keys, head, 1)[:, 0].tolist()
 
 
-def _draws(scheme: "Scheme", n: int, epochs: int, rng: np.random.Generator) -> np.ndarray:
+def derive_seed(entropy: int, spawn_key: tuple) -> int:
+    """`derive_seeds` for one key."""
+    return derive_seeds(entropy, [spawn_key])[0]
+
+
+@functools.cache
+def _preset_state_class() -> type:
+    """The seed sequence type `_generators` hands to `PCG64`, defined on first
+    use: numpy loads `numpy.random` lazily, and importing the engine should
+    not load it."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetState(ISeedSequence):
+        """A seed sequence whose state is already computed: one row of
+        `_seed_states(seeds, [], 4)`, from which numpy still does PCG64's
+        own seeding."""
+
+        def __init__(self, state: np.ndarray):
+            self._state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a preset state holds exactly 4 uint64 words")
+            return self._state
+
+    return PresetState
+
+
+def _generators(seeds: np.ndarray):
+    """`np.random.default_rng(seed)` for each uint64 seed in turn, in the same
+    state, with one vectorized `SeedSequence` pass for all of them."""
+    preset = _preset_state_class()
+    for state in _seed_states(seeds[:, None], [], 4):
+        yield np.random.Generator(np.random.PCG64(preset(state)))
+
+
+def _fisher_yates_bounds(n: int, epochs: int) -> np.ndarray:
+    """Exclusive bounds of `epochs` epochs of Fisher-Yates draws, one row per
+    epoch: j_i ~ U{0..i} for i = n-1..1 (no columns at n=1)."""
+    return np.tile(np.arange(n, 1, -1), (epochs, 1))
+
+
+def _draws(scheme: "Scheme", n: int, epochs: int, rng: np.random.Generator,
+           bounds: np.ndarray) -> np.ndarray:
     """One run's draws for `epochs` epochs from one generator call, one row
     per epoch: n uniform indices (with replacement) or the Fisher-Yates
-    draws j_i ~ U{0..i}, i = n-1..1 (the shuffling schemes; none at n=1)."""
+    draws below the first `epochs` rows of `bounds`, a
+    `_fisher_yates_bounds` array (the shuffling schemes)."""
     if scheme is Scheme.WITH_REPLACEMENT:
         return rng.integers(0, n, size=(epochs, n))
-    return rng.integers(0, np.tile(np.arange(n, 1, -1), (epochs, 1)))
+    return rng.integers(0, bounds[:epochs])
 
 
 def _fisher_yates(draws: np.ndarray) -> np.ndarray:
@@ -162,7 +333,8 @@ def sample_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
     one-row case of the chunked sampler, consuming n-1 draws (none at n=1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _fisher_yates(_draws(Scheme.RANDOM_RESHUFFLE, n, 1, rng))[0]
+    return _fisher_yates(_draws(Scheme.RANDOM_RESHUFFLE, n, 1, rng,
+                                _fisher_yates_bounds(n, 1)))[0]
 
 
 def _warn_if_large_eta(p: Problem, eta: float):
@@ -284,21 +456,23 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
     # Row i is [1 - eta a_i | b_i], so one gather fetches a chunk's factors
     # and coefficients.  The halves go to `tail_products` as views.
     table = np.concatenate((1.0 - eta * p.curvature_matrix, p.linear_matrix), axis=1)
+    bounds = _fisher_yates_bounds(n, 1 if single else epochs)
+    seeds = np.asarray(seeds, dtype=np.uint64)
     for first in range(0, len(seeds), runs):
         block = seeds[first:first + runs]
         # Only a run alone in its block spans several chunks, so at most one
         # generator outlives the draws it makes.
-        lone = np.random.default_rng(block[0]) if len(block) == 1 else None
+        lone = np.random.default_rng(int(block[0])) if len(block) == 1 else None
         y = y0
         for t0 in range(0, k, epochs):
             c = min(epochs, k - t0)
             drawn = 1 if single else c
             if lone is not None:
-                draws = _draws(scheme, n, drawn, lone)
+                draws = _draws(scheme, n, drawn, lone, bounds)
             else:
                 draws = np.empty((drawn, len(block), width), dtype=np.int64)
-                for r, seed in enumerate(block):
-                    draws[:, r] = _draws(scheme, n, drawn, np.random.default_rng(seed))
+                for r, rng in enumerate(_generators(block)):
+                    draws[:, r] = _draws(scheme, n, drawn, rng, bounds)
             seqs = draws if width == n else _fisher_yates(
                 draws.reshape(-1, width)).reshape(draws.shape[:-1] + (n,))
             if perm_log is not None:

@@ -159,12 +159,16 @@ class SweepSummary:
     n_seeds: int
 
 
+def _cell_key(plan: SweepPlan, scheme_tag: str, k: int) -> tuple:
+    """The spawn key of a cell's runs without the seed index: (scheme_code,
+    k), or (k,) when coupled."""
+    return (k,) if plan.couple_rng else (SCHEME_ORDER.index(scheme_tag), k)
+
+
 def run_seed_for(plan: SweepPlan, scheme_tag: str, k: int, seed_index: int) -> int:
     """`engine.derive_seed` of seed_base with spawn key (scheme_code, k,
     seed_index), or (k, seed_index) when coupled."""
-    if plan.couple_rng:
-        return engine.derive_seed(plan.seed_base, (k, seed_index))
-    return engine.derive_seed(plan.seed_base, (SCHEME_ORDER.index(scheme_tag), k, seed_index))
+    return engine.derive_seed(plan.seed_base, _cell_key(plan, scheme_tag, k) + (seed_index,))
 
 
 def _clamped_log10(loss: float) -> float:
@@ -174,11 +178,12 @@ def _clamped_log10(loss: float) -> float:
 def _run_cell(plan: SweepPlan, scheme_tag: str, k: int) -> List[SweepRecord]:
     p, x0 = resolve_problem(plan)
     eta = plan.eta_for(k)
+    key = _cell_key(plan, scheme_tag, k)
+    seeds = engine.derive_seeds(plan.seed_base, [key + (s,) for s in range(plan.seeds)])
     records = []
-    for s in range(plan.seeds):
+    for s, seed in enumerate(seeds):
         cfg = engine.RunConfig(
-            scheme=engine.Scheme.from_tag(scheme_tag), eta=eta, epochs=k, x0=x0,
-            seed=run_seed_for(plan, scheme_tag, k, s),
+            scheme=engine.Scheme.from_tag(scheme_tag), eta=eta, epochs=k, x0=x0, seed=seed,
         )
         loss = engine.run_sgd_closed_form(p, cfg).final_loss
         records.append(
@@ -205,6 +210,12 @@ def summarize(records: Sequence[SweepRecord]) -> List[SweepSummary]:
     return out
 
 
+def check_jobs(jobs: Optional[int]) -> None:
+    """Reject a worker count below 1; None means one worker per CPU."""
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
 def run_sweep(plan: SweepPlan, jobs: Optional[int] = None
               ) -> Tuple[List[SweepRecord], List[SweepSummary]]:
     """All three schemes over the plan's grid; deterministic given the plan.
@@ -213,6 +224,7 @@ def run_sweep(plan: SweepPlan, jobs: Optional[int] = None
     aggregation reads results back in (scheme, k, seed) order, so neither
     submission order nor worker scheduling changes the output.
     """
+    check_jobs(jobs)
     p, x0 = resolve_problem(plan)
     report = model.validate_assumptions(p, x0, max(plan.k_values))
     if not report.all_passed:

@@ -173,6 +173,33 @@ def trajectory_discrepancy(a: engine.Trajectory, b: engine.Trajectory) -> float:
     return float(np.max(np.abs(a.points - b.points) / scale))
 
 
+def _check_seeding() -> CheckResult:
+    """The vectorized seeding against numpy: `derive_seeds` against
+    `SeedSequence`, and batched final losses (generators seeded from one
+    vectorized pass) against per-run `default_rng` runs."""
+    keys = [(r % 3, r << (r % 48)) for r in range(256)]  # 1- and 2-word elements
+    got = engine.derive_seeds(2**32 + 5, keys)
+    want = [int(np.random.SeedSequence(2**32 + 5, spawn_key=key)
+                .generate_state(1, np.uint64)[0]) for key in keys]
+    seed_misses = sum(a != b for a, b in zip(got, want))
+    n, k = 10, 5
+    p = model.build_rr_construction(n, 1.0, 1.0, 4.0)
+    x0, eta = [1.0, 0.5, -0.5], engine.recommended_eta(n, k, 1.0)
+    seeds = [r << 27 | r for r in range(64)]  # both sides of 2**32
+    loss_misses = 0
+    for scheme in engine.Scheme:
+        batched = engine.final_losses(p, scheme, eta, k, x0, seeds)
+        per_run = [engine.run_sgd_closed_form(p, engine.RunConfig(scheme, eta, k, x0, s))
+                   .final_loss for s in seeds]
+        loss_misses += int(np.sum(batched != np.array(per_run)))
+    return _result(
+        "vectorized seeding == numpy SeedSequence and default_rng",
+        seed_misses == 0 and loss_misses == 0,
+        f"derive_seeds mismatches={seed_misses}/{len(keys)}, "
+        f"final_losses mismatches={loss_misses}/{3 * len(seeds)}",
+    )
+
+
 def closed_form_suite(cases: int = 1000, seed: int = 11) -> List[CheckResult]:
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -195,7 +222,8 @@ def closed_form_suite(cases: int = 1000, seed: int = 11) -> List[CheckResult]:
             f"closed form == explicit steps on {cases} random instances",
             worst <= 1e-10 and worst_loss <= 1e-10,
             f"worst point discrepancy={worst:.3g}, worst loss discrepancy={worst_loss:.3g}",
-        )
+        ),
+        _check_seeding(),
     ]
 
 

@@ -215,7 +215,24 @@ class TestSweepCommand:
         assert (code, err) == (1, "error: seed must be nonnegative, got -1\n")
 
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_fails_before_any_work(self, capsys, tmp_path, jobs):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "sweep", "--construction", "ss", "--n", "8",
+                                 "--k-values", "1,2", "--seeds", "2", "--jobs", jobs,
+                                 "--out-dir", str(out_dir))
+        assert (code, out, err) == (1, "", f"error: jobs must be >= 1, got {jobs}\n")
+        assert not out_dir.exists()
+
+
 class TestReproduceFig1:
+    def test_jobs_below_one_fails_before_any_work(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "reproduce-fig1", "--scale", "desk", "--jobs", "0",
+                                 "--out-dir", str(out_dir))
+        assert (code, out, err) == (1, "", "error: jobs must be >= 1, got 0\n")
+        assert not out_dir.exists()
+
     def test_refuses_nonempty_out_dir(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
         out_dir.mkdir()

@@ -320,8 +320,10 @@ class TestChunkedStream:
     def test_permutation_rows_equal_swap_loop(self, n):
         for seed in (0, 5):
             rows_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            # six rows of a longer bound array, as a chunk shorter than the first takes them
+            bounds = engine._fisher_yates_bounds(n, 9)
             rows = engine._fisher_yates(engine._draws(engine.Scheme.RANDOM_RESHUFFLE, n, 6,
-                                                      rows_rng))
+                                                      rows_rng, bounds))
             assert rows.shape == (6, n) and rows.flags.c_contiguous
             for row in rows:
                 np.testing.assert_array_equal(row, swap_loop_permutation(n, loop_rng))
@@ -450,6 +452,15 @@ class TestFinalLosses:
         self.assert_matches_per_run(p, scheme, recommended_eta(n, k, 1.0), k,
                                     [1.0, 0.5], [2021, 7])
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_block_mixes_seed_word_counts(self, scheme):
+        # seeds below 2**32 hash one entropy word, the others two
+        seeds = [3, 2**32 - 1, 2**32, 17, 2**40 + 9, 0, 2**64 - 1]
+        p = model.build_rr_construction(10, 1.0, 1.0, 4.0)
+        assert len(seeds) * 10 * 5 <= engine._CHUNK_ENTRIES  # one block
+        self.assert_matches_per_run(p, scheme, recommended_eta(10, 5, 1.0), 5,
+                                    [1.0, 0.5, -0.5], seeds)
+
     def test_mc_expected_loss_equals_per_run_loop(self):
         n, k, runs = 10, 5, 500
         p = model.build_ss_construction(n, 1.0, 1.0, 4.0)
@@ -533,6 +544,45 @@ class TestSeedRule:
             engine.derive_seed(-1, (0,))
         with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
             experiments.desk_plan("ss", seed_base=-1)
+
+    @pytest.mark.parametrize("entropy", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**200])
+    def test_derive_seed_matches_seed_sequence(self, entropy):
+        for key in [(), (0,), (2**32 - 1,), (2**32,), (2**64 - 1,), (2**70 + 3,),
+                    (1, 2**32 + 7, 3), (2**40, 0, 2**63), (5, 6, 7)]:
+            assert engine.derive_seed(entropy, key) == self.first_word(entropy, key)
+
+    def test_mixed_word_counts_in_one_call(self):
+        keys = [(1, 2), (2**32, 2), (1, 2**33), (2**64 - 1, 0), (0, 0), (2**32 - 1, 2**48)]
+        assert engine.derive_seeds(101, keys) == [self.first_word(101, k) for k in keys]
+        keys = np.array(keys, dtype=np.uint64)
+        assert engine.derive_seeds(7, keys) == [self.first_word(7, tuple(map(int, k)))
+                                                for k in keys]
+        huge = [(3,), (2**64,), (2**100 + 1,), (2**32,)]  # object-dtype keys
+        assert engine.derive_seeds(2**64, huge) == [self.first_word(2**64, k) for k in huge]
+
+    def test_many_keys_match(self):
+        keys = np.arange(20000)[:, None]
+        got = engine.derive_seeds(102, keys)
+        assert got == [self.first_word(102, (r,)) for r in range(20000)]
+
+    def test_generators_match_default_rng(self):
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**40 + 17, 2**64 - 1]
+        gens = list(engine._generators(np.array(seeds, dtype=np.uint64)))
+        assert len(gens) == len(seeds)
+        for seed, gen in zip(seeds, gens):
+            ref = np.random.default_rng(seed)
+            assert gen.bit_generator.state == ref.bit_generator.state
+            np.testing.assert_array_equal(gen.bit_generator.random_raw(64),
+                                          ref.bit_generator.random_raw(64))
+
+    @pytest.mark.parametrize("entropy, key", [(-1, (0,)), (0, (-1,)), (3, (1, -2**40, 2))])
+    def test_negative_entropy_or_key_rejected_as_numpy_does(self, entropy, key):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(entropy, spawn_key=key)
+        with pytest.raises(ValueError):
+            engine.derive_seed(entropy, key)
+        with pytest.raises(ValueError):
+            engine.derive_seeds(entropy, [(0,) * len(key), key])
 
 
 class TestTrajectoryCsv:

@@ -265,6 +265,15 @@ class TestParallelDeterminism:
         assert submitted == [(s, k) for k in (4, 2, 1) for s in experiments.SCHEME_ORDER]
         assert parallel == run_sweep(plan, jobs=1)
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected_before_any_cell(self, jobs, monkeypatch):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "_run_cell", no_cell)
+        with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+            run_sweep(tiny_plan(), jobs=jobs)
+
 
 class TestPlanMetadataEcho:
     def test_paper_plan_parameters_in_csv_metadata(self, tmp_path):
