@@ -20,6 +20,15 @@ one generator per run, seeded with that run's seed and making exactly that
 run's draws, so each run's stream is unchanged; only the Fisher-Yates pass,
 the tail products and the map recurrence are shared across the batch.
 
+Two loops are sequential: Fisher-Yates steps through a row's positions, and
+the map recurrence y <- contraction*y + noise through a run's epochs.  Each
+picks Python scalars or one numpy call per step by its width, the rows of a
+Fisher-Yates pass or the runs x d lanes of a recurrence: narrow (a lone run,
+a single-shuffling permutation) runs in Python, wide (a reshuffling chunk,
+a Monte Carlo block) in numpy.  The values are the same either way: swaps
+move integers, and a Python float rounds the multiply and then the add as
+numpy does, with no fused multiply-add in either.
+
 Seeding is numpy's, computed in bulk.  Numpy's `SeedSequence` is a fixed
 integer hash of the seed's 32-bit words, so `_seed_states` evaluates it for
 many rows at once: `derive_seeds` takes the first uint64 word for every spawn
@@ -288,6 +297,15 @@ def _generators(seeds: np.ndarray):
         yield np.random.Generator(np.random.PCG64(preset(state)))
 
 
+# Width at which the engine's two sequential loops, Fisher-Yates over its
+# rows and the map recurrence over its lanes, switch from Python scalars to
+# one numpy call per step.  A numpy step costs microseconds whatever its
+# width, a Python one tens of nanoseconds per element.  Timed crossovers
+# (numpy 2.4, one core): Fisher-Yates at 6-9 rows for n = 10..500, the
+# recurrence at ~4 lanes over 5 epochs and 10-12 lanes over 32-163 epochs.
+_SCALAR_WIDTH = 8
+
+
 def _fisher_yates_bounds(n: int, epochs: int) -> np.ndarray:
     """Exclusive bounds of `epochs` epochs of Fisher-Yates draws, one row per
     epoch: j_i ~ U{0..i} for i = n-1..1 (no columns at n=1)."""
@@ -310,10 +328,19 @@ def _fisher_yates(draws: np.ndarray) -> np.ndarray:
     Fisher-Yates makes from `draws` of shape (rows, n-1): step i swaps
     positions i and j_i, for i = n-1..1.
 
-    Rows may come from different generators; all of them share one
-    vectorized pass.
+    Rows may come from different generators.  Fewer than `_SCALAR_WIDTH`
+    rows are swapped row by row on Python lists; more share one vectorized
+    pass.
     """
     rows, n = draws.shape[0], draws.shape[1] + 1
+    if rows < _SCALAR_WIDTH:
+        perms = []
+        for row in draws.tolist():
+            perm = list(range(n))
+            for i, j in zip(range(n - 1, 0, -1), row):
+                perm[i], perm[j] = perm[j], perm[i]
+            perms.append(perm)
+        return np.array(perms, dtype=np.intp).reshape(rows, n)
     # Entry r*n + i of `work` is position i of row r.  Step i swaps positions
     # i and j_i of every row as one gather and one scatter; where j_i == i
     # both halves write the same value.
@@ -424,6 +451,35 @@ def _geometric_factor(s: np.ndarray, t) -> np.ndarray:
     return out
 
 
+def _apply_maps(contraction: np.ndarray, noise: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """ys[t] = contraction[t] * ys[t-1] + noise[t] for t = 0..c-1, starting
+    from ys[-1] = y0; a C-contiguous array shaped like `contraction`.  y0 is
+    shaped like contraction[0] or like its last axis alone (one start for
+    every run of a block).
+
+    Each of the contraction[0].size lanes is an independent recurrence.
+    Fewer than `_SCALAR_WIDTH` lanes run one after another in Python floats,
+    epochs innermost; more take one numpy step per epoch.  Both round the
+    multiply, then the add, with no fused multiply-add, so the values are
+    the same bit for bit.  Python floats raise no overflow RuntimeWarning,
+    but give the same inf and nan.
+    """
+    lanes = contraction[0].size
+    if lanes < _SCALAR_WIDTH:
+        c = len(contraction)
+        starts = y0.ravel().tolist() * (lanes // y0.size)  # (d,) repeats run by run
+        out = []
+        for col_a, col_b, y in zip(contraction.reshape(c, lanes).T.tolist(),
+                                   noise.reshape(c, lanes).T.tolist(), starts):
+            out.append([y := a * y + b for a, b in zip(col_a, col_b)])
+        return np.array(out).T.copy().reshape(contraction.shape)
+    ys = np.empty_like(contraction)
+    y = y0
+    for t in range(len(contraction)):
+        y = ys[t] = contraction[t] * y + noise[t]
+    return ys
+
+
 # Index entries (runs * epochs * n) drawn and mapped per chunk; bounds the
 # chunk's (epochs, runs, n, d) factor arrays to 2**14 * d floats.
 _CHUNK_ENTRIES = 2**14
@@ -490,9 +546,8 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
                 ys = contraction**t * y0 + eta * _geometric_factor(contraction, t) * noise
             else:
                 noise *= eta
-                ys = np.empty_like(contraction)
-                for t in range(c):
-                    y = ys[t] = contraction[t] * y + noise[t]
+                ys = _apply_maps(contraction, noise, y)
+                y = ys[-1]
             yield first, ys
 
 

@@ -56,6 +56,8 @@ class SweepPlan:
             raise ValueError("construction must be 'ss' or 'rr'")
         if not self.k_values or list(self.k_values) != sorted(set(self.k_values)):
             raise ValueError("k_values must be nonempty, ascending and distinct")
+        if self.k_values[0] < 1:
+            raise ValueError(f"k_values must be >= 1, got {self.k_values[0]}")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
         engine.check_seed_base(self.seed_base)

@@ -43,6 +43,11 @@ def _frozen_rows(curvatures, linear) -> tuple:
     return curvatures, linear
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Minimizer:
     point: np.ndarray
@@ -78,6 +83,8 @@ class Problem:
         object.__setattr__(self, "linear_matrix", lm)
         if self.n <= 1:
             raise ValueError("a finite-sum problem needs n > 1 components")
+        for name in ("lam", "lam_max", "smooth_l", "grad_bound"):
+            _check_finite(name, getattr(self, name))
         if not (self.lam > 0 and self.lam_max > 0 and self.smooth_l > 0):
             raise ValueError("lam, lam_max and smooth_l must be positive")
         if self.grad_bound < 0:
@@ -185,6 +192,8 @@ def problem_from_json(text: str) -> Problem:
 def _check_construction_args(n: int, G: float, lam: float, lam_max: float):
     if n <= 1 or n % 2 != 0:
         raise ValueError(f"n must be even and > 1, got {n}")
+    for name, value in (("G", G), ("lam", lam), ("lam_max", lam_max)):
+        _check_finite(name, value)
     if G < 0:
         raise ValueError("G must be nonnegative")
     if lam <= 0:

@@ -61,6 +61,13 @@ class TestSimulate:
                                  "--eta", eta, "--k", "1")
         assert (code, out, err) == (1, "", f"error: eta must be finite, got {eta}\n")
 
+    @pytest.mark.parametrize("flag, value, name", [("--G", "nan", "G"), ("--G", "inf", "G"),
+                                                   ("--lambda-max", "inf", "lam_max")])
+    def test_non_finite_problem_parameter_fails(self, capsys, flag, value, name):
+        code, out, err = run_cli(capsys, "simulate", "--construction", "ss", "--n", "10",
+                                 "--k", "3", "--auto-eta", flag, value)
+        assert (code, out, err) == (1, "", f"error: {name} must be finite, got {value}\n")
+
     def test_stepwise_matches_default_final_loss(self, capsys):
         args = ["simulate", "--construction", "rr", "--n", "6", "--eta", "0.01",
                 "--k", "2", "--seed", "5", "--scheme", "rr",
@@ -119,6 +126,11 @@ class TestOracle:
                                      "--k", "3", "--eta", eta)
             assert code == 1 and out == ""
             assert message in err
+
+    def test_exact_loss_rejects_non_finite_G(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--quantity", "loss-rr", "--n", "10",
+                                 "--k", "3", "--auto-eta", "--G", "nan")
+        assert (code, out, err) == (1, "", "error: G must be finite, got nan\n")
 
     def test_exact_loss_warns_on_large_eta(self, capsys):
         for quantity in ("loss-ss", "loss-rr"):
@@ -223,6 +235,23 @@ class TestSweepCommand:
                                  "--out-dir", str(out_dir))
         assert (code, out, err) == (1, "", f"error: jobs must be >= 1, got {jobs}\n")
         assert not out_dir.exists()
+
+    def test_epochs_below_one_fail_before_any_work(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        for eta_flags in (["--eta", "0.01"], ["--auto-eta"]):
+            code, out, err = run_cli(capsys, "sweep", "--construction", "ss", "--n", "8",
+                                     "--k-values", "0,5", "--seeds", "2", "--jobs", "1",
+                                     *eta_flags, "--out-dir", str(out_dir))
+            assert (code, out, err) == (1, "", "error: k_values must be >= 1, got 0\n")
+            assert not out_dir.exists()
+
+    def test_non_finite_G_fails(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "sweep", "--construction", "ss", "--n", "8",
+                                 "--k-values", "1,2", "--seeds", "2", "--jobs", "1",
+                                 "--G", "nan", "--out-dir", str(out_dir))
+        assert (code, out, err) == (1, "", "error: G must be finite, got nan\n")
+        assert not (out_dir / "records.csv").exists()
 
 
 class TestReproduceFig1:

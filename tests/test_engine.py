@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -318,13 +320,15 @@ class TestChunkedStream:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 101])
     def test_permutation_rows_equal_swap_loop(self, n):
-        for seed in (0, 5):
+        # row counts on both sides of the scalar/vectorized switch
+        for count, seed in itertools.product((1, engine._SCALAR_WIDTH - 1,
+                                              engine._SCALAR_WIDTH, 11), (0, 5)):
             rows_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            # six rows of a longer bound array, as a chunk shorter than the first takes them
-            bounds = engine._fisher_yates_bounds(n, 9)
-            rows = engine._fisher_yates(engine._draws(engine.Scheme.RANDOM_RESHUFFLE, n, 6,
+            # rows of a longer bound array, as a chunk shorter than the first takes them
+            bounds = engine._fisher_yates_bounds(n, 12)
+            rows = engine._fisher_yates(engine._draws(engine.Scheme.RANDOM_RESHUFFLE, n, count,
                                                       rows_rng, bounds))
-            assert rows.shape == (6, n) and rows.flags.c_contiguous
+            assert rows.shape == (count, n) and rows.flags.c_contiguous
             for row in rows:
                 np.testing.assert_array_equal(row, swap_loop_permutation(n, loop_rng))
             assert rows_rng.integers(0, 2**63) == loop_rng.integers(0, 2**63)
@@ -350,6 +354,7 @@ class TestChunkedRuns:
             np.testing.assert_array_equal(got, want)
         np.testing.assert_allclose(traj.points, points, rtol=1e-12, atol=0)
         np.testing.assert_allclose(traj.losses, losses, rtol=1e-12, atol=0)
+        assert traj.points.flags.c_contiguous  # the layout downstream kernels see
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_odd_n_random_problems(self, scheme):
@@ -431,14 +436,38 @@ class TestFinalLosses:
     def test_rotated_problem(self, scheme):
         p = model.build_rr_construction(100, 1.0, 1.0, 8.0)
         O = random_rotation(3, np.random.default_rng(6))
-        self.assert_matches_per_run(model.conjugate(p, O), scheme,
-                                    recommended_eta(100, 20, 1.0), 20,
-                                    O @ np.array([1.0, 0.5, -0.5]), [8, 9, 2**64 - 1])
+        # runs x d = 6 and 9 lanes: one block on each side of the scalar/numpy
+        # switch of the map recurrence; the first starts from a broadcast y0
+        for seeds in ([8, 9], [8, 9, 2**64 - 1]):
+            self.assert_matches_per_run(model.conjugate(p, O), scheme,
+                                        recommended_eta(100, 20, 1.0), 20,
+                                        O @ np.array([1.0, 0.5, -0.5]), seeds)
+        assert 2 * p.dim < engine._SCALAR_WIDTH <= 3 * p.dim
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_divergent_eta_overflows_alike(self, scheme):
+        # eta*L = 4: factors 1 - eta*a reach -3, so the iterates overflow to
+        # inf and the losses to inf or nan; lone runs and blocks on either
+        # side of the scalar/numpy switch give the same values
+        n, k = 10, 300
+        p = model.build_rr_construction(n, 1.0, 1.0, 4.0)
+        for seeds in ([5, 6], [5, 6, 7, 8]):
+            with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+                warnings.filterwarnings("ignore", "eta\\*L", RuntimeWarning)
+                got = engine.final_losses(p, scheme, 1.0, k, [1.0, 0.5, -0.5], seeds)
+                runs = [run_sgd_closed_form(p, RunConfig(scheme, 1.0, k, [1.0, 0.5, -0.5], s))
+                        for s in seeds]
+                reference, _, _ = per_epoch_closed_form(p, runs[0].config)
+            assert np.array_equal(got, [r.final_loss for r in runs], equal_nan=True)
+            assert not np.isfinite(got).any()
+            if scheme is not Scheme.SINGLE_SHUFFLE:  # the schemes that take the recurrence
+                np.testing.assert_array_equal(runs[0].points, reference)  # inf signs, nan places
+        assert 2 * p.dim < engine._SCALAR_WIDTH <= 4 * p.dim
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_seeds_span_several_chunks(self, scheme):
         n, k = 10, 5
-        seeds = [analysis.derive_run_seed(3, r) for r in range(900)]
+        seeds = [TestSeedRule.first_word(3, (r,)) for r in range(900)]
         assert len(seeds) * k * n > 2 * engine._CHUNK_ENTRIES
         p = model.build_rr_construction(n, 1.0, 1.0, 4.0)
         self.assert_matches_per_run(p, scheme, recommended_eta(n, k, 1.0), k,
@@ -469,7 +498,7 @@ class TestFinalLosses:
         for scheme in Scheme:
             losses = np.array([
                 run_sgd_closed_form(p, RunConfig(scheme, eta, k, x0,
-                                                 analysis.derive_run_seed(11, r))).final_loss
+                                                 TestSeedRule.first_word(11, (r,)))).final_loss
                 for r in range(runs)
             ])
             want = (float(np.mean(losses)),

@@ -51,6 +51,9 @@ class TestPlan:
             tiny_plan(construction="xx")
         with pytest.raises(ValueError, match="^eta must be finite, got nan$"):
             tiny_plan(eta_rule=math.nan)
+        for k_values in ((-3, 0, 5), (0, 5)):
+            with pytest.raises(ValueError, match=f"^k_values must be >= 1, got {k_values[0]}$"):
+                tiny_plan(k_values=k_values)
 
     def test_eta_rules(self):
         assert tiny_plan().eta_for(4) == pytest.approx(math.log(32) / 32)

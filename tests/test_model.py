@@ -81,6 +81,17 @@ class TestConstructions:
         with pytest.raises(ValueError):
             build_rr_construction(4, 1.0, 1.0, 1.5)
 
+    @pytest.mark.parametrize("build", [build_ss_construction, build_rr_construction])
+    @pytest.mark.parametrize("G, lam, lam_max, message", [
+        (float("nan"), 1.0, 4.0, "^G must be finite, got nan$"),
+        (float("inf"), 1.0, 4.0, "^G must be finite, got inf$"),
+        (1.0, float("nan"), 4.0, "^lam must be finite, got nan$"),
+        (1.0, 1.0, float("inf"), "^lam_max must be finite, got inf$"),
+    ])
+    def test_non_finite_parameters_rejected(self, build, G, lam, lam_max, message):
+        with pytest.raises(ValueError, match=message):
+            build(4, G, lam, lam_max)
+
 
 class TestObjectiveAndGradients:
     def test_objective_example(self):
@@ -286,6 +297,14 @@ class TestInvariants:
         with pytest.raises(ValueError):
             Problem(curvature_matrix=[[0.1], [0.1]], linear_matrix=[[0.0], [0.0]],
                     lam=1.0, lam_max=1.0, smooth_l=1.0, grad_bound=1.0)
+
+    @pytest.mark.parametrize("name", ["lam", "lam_max", "smooth_l", "grad_bound"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_problem_rejects_non_finite_metadata(self, name, value):
+        fields = dict(lam=1.0, lam_max=1.0, smooth_l=1.0, grad_bound=1.0)
+        fields[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            Problem(curvature_matrix=[[1.0], [1.0]], linear_matrix=[[0.0], [0.0]], **fields)
 
     def test_problem_is_immutable(self):
         p = build_ss_construction(4, 1.0, 1.0, 2.0)
