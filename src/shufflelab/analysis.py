@@ -36,7 +36,12 @@ def _check_even(n: int):
         raise ValueError(f"n must be even and >= 2, got {n}")
 
 
-def _check_enumerable(n: int):
+@lru_cache(maxsize=None)
+def _pattern_matrix(n: int) -> np.ndarray:
+    """All C(n, n/2) balanced {0,1} rows, in lexicographic order of 1-positions.
+
+    The one enumeration, so the one place the n <= ENUMERATION_CAP cap lives.
+    """
     _check_even(n)
     if n > ENUMERATION_CAP:
         raise UnsupportedInstanceError(
@@ -44,12 +49,6 @@ def _check_enumerable(n: int):
             "estimate E[F(x_k)] by Monte Carlo with mc_expected_loss "
             "(oracle --method monte-carlo) instead"
         )
-
-
-@lru_cache(maxsize=None)
-def _pattern_matrix(n: int) -> np.ndarray:
-    """All C(n, n/2) balanced {0,1} rows, in lexicographic order of 1-positions."""
-    _check_enumerable(n)
     combos = np.array(list(itertools.combinations(range(n), n // 2)), dtype=np.int64)
     mat = np.zeros((combos.shape[0], n), dtype=np.int64)
     np.put_along_axis(mat, combos, 1, axis=1)
@@ -63,7 +62,6 @@ def _pattern_matrix(n: int) -> np.ndarray:
 
 def beta_exact(n: int, eta: float, lam_max: float) -> float:
     """E[(sum_i s_i (1 - lam_max*eta)^i)^2] over balanced +-1 sign rows, exact."""
-    _check_enumerable(n)
     alpha = eta * lam_max
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"eta*lam_max must lie in [0, 1], got {alpha}")
@@ -79,7 +77,7 @@ def beta_lower_envelope(n: int, eta: float, lam_max: float) -> float:
     The multiplying universal constant is not part of the value; calibrated
     extremes of beta_exact / envelope live in the calibration file.
     """
-    _check_enumerable(n)
+    _check_even(n)
     alpha = eta * lam_max
     if alpha <= 0.0:
         raise ValueError("eta*lam_max must be positive (1/(eta*lam_max) appears)")
@@ -143,18 +141,24 @@ def two_valued_tail_products(a, b, eta: float) -> Tuple[np.ndarray, np.ndarray]:
         raise UnsupportedInstanceError(
             "exact moments need balanced counts of the two (a, b) pairs"
         )
-    _check_enumerable(n)
     labels = _pattern_matrix(n)
     # one gather per 1-D column: ~3x faster than pairs[labels, 0], same values
     a_pair, b_pair = pairs.T
     return _engine.tail_products(1.0 - eta * a_pair[labels], b_pair[labels])
 
 
+def _moments_of(a, b, eta: float) -> Tuple[float, ...]:
+    """(E[P], E[P^2], E[Q], E[Q^2], E[PQ]) of one coordinate's data, exactly:
+    the one average over enumerated (P, Q) values."""
+    p_vals, q_vals = two_valued_tail_products(a, b, eta)
+    return (float(np.mean(p_vals)), float(np.mean(p_vals**2)), float(np.mean(q_vals)),
+            float(np.mean(q_vals**2)), float(np.mean(p_vals * q_vals)))
+
+
 def expected_keyup_square(alphas, betas) -> float:
     """E over uniform permutations of keyup_quantity^2, exact, for the
     two-valued balanced (alpha, beta) data of `two_valued_tail_products`."""
-    _, q = two_valued_tail_products(alphas, betas, 1.0)
-    return float(np.mean(q * q))
+    return _moments_of(alphas, betas, 1.0)[3]
 
 
 def perm_moment_formula(m: int, n: int) -> float:
@@ -171,7 +175,6 @@ def perm_moment_fraction(m: int, n: int) -> Fraction:
 
 def perm_moment_enumeration(m: int, n: int) -> Fraction:
     """The same moment by exhaustive balanced-pattern enumeration, exact."""
-    _check_enumerable(n)
     if not 1 <= m <= n - 1:
         raise ValueError(f"m must lie in 1..n-1, got m={m}, n={n}")
     mat = _pattern_matrix(n)
@@ -188,11 +191,12 @@ def stochastic_terms_ceiling(n: int, eta: float, lam_max: float) -> float:
     return -eta * lam_max * n / 16.0
 
 
-def _alternating_tail_values(n: int, eta: float, lam_max: float):
-    """(P, Q) per balanced pattern for coefficients 1-2s and factors 1-eta*lam_max*s."""
+def _alternating_moments(n: int, eta: float, lam_max: float) -> Tuple[float, ...]:
+    """`_moments_of` the balanced data with coefficients 1-2s and factors
+    1-eta*lam_max*s."""
+    _check_even(n)
     half = n // 2
-    return two_valued_tail_products([0.0] * half + [lam_max] * half,
-                                    [1.0] * half + [-1.0] * half, eta)
+    return _moments_of([0.0] * half + [lam_max] * half, [1.0] * half + [-1.0] * half, eta)
 
 
 def sum_prod_expectation_exact(n: int, eta: float, lam_max: float) -> float:
@@ -202,13 +206,11 @@ def sum_prod_expectation_exact(n: int, eta: float, lam_max: float) -> float:
     -eta*lam_max*n/8 (tripwire; enumeration is exact so it cannot fire).
     """
     _engine.check_eta(eta)
-    _check_enumerable(n)
     if lam_max < 0:
         raise ValueError("lam_max must be nonnegative")
     if eta * lam_max > 1:
         raise ValueError("need 0 <= eta*lam_max <= 1")
-    _, q = _alternating_tail_values(n, eta, lam_max)
-    value = float(np.mean(q))
+    value = _alternating_moments(n, eta, lam_max)[2]
     if lam_max > 0 and eta * lam_max * n <= 1.0 + 1e-12:
         assert value <= sum_prod_ceiling(n, eta, lam_max) + 1e-12
     return value
@@ -221,15 +223,13 @@ def stochastic_terms_exact(n: int, eta: float, lam_max: float) -> float:
     certified against the ceiling -eta*lam_max*n/16.
     """
     _engine.check_eta(eta)
-    _check_enumerable(n)
     if lam_max <= 0:
         raise ValueError("lam_max must be positive")
     if eta * lam_max * n > 1.0 + 1e-12:
         raise ValueError(
             f"stochastic_terms_exact requires eta <= 1/(lam_max*n), got eta={eta}"
         )
-    p, q = _alternating_tail_values(n, eta, lam_max)
-    value = float(np.mean(p * q))
+    value = _alternating_moments(n, eta, lam_max)[4]
     assert value <= stochastic_terms_ceiling(n, eta, lam_max) + 1e-12
     return value
 
@@ -274,13 +274,6 @@ class MomentState:
         object.__setattr__(self, "second", np.asarray(self.second, dtype=np.float64))
         if _variance_negative(self.second, self.mean):
             raise ValueError("second moment below squared mean")
-
-
-def _moments_of(a, b, eta: float) -> Tuple[float, ...]:
-    """(E[P], E[P^2], E[Q], E[Q^2], E[PQ]) of one coordinate's data, exactly."""
-    p_vals, q_vals = two_valued_tail_products(a, b, eta)
-    return (float(np.mean(p_vals)), float(np.mean(p_vals**2)), float(np.mean(q_vals)),
-            float(np.mean(q_vals**2)), float(np.mean(p_vals * q_vals)))
 
 
 def permutation_moments(curvatures, linears, eta: float) -> PermutationMoments:

@@ -316,6 +316,8 @@ def _fig1_overlays(plan: experiments.SweepPlan, summaries) -> list:
 
 def _cmd_reproduce_fig1(args, parser) -> int:
     experiments.check_jobs(args.jobs)
+    plan_fn = experiments.desk_plan if args.scale == "desk" else experiments.paper_plan
+    plans = [plan_fn(construction, seed_base=args.seed) for construction in ("ss", "rr")]
     _prepare_out_dir(args.out_dir, args.force, parser)
     if args.scale == "paper":
         print(
@@ -323,9 +325,8 @@ def _cmd_reproduce_fig1(args, parser) -> int:
             "n=500; expect minutes to hours depending on --jobs",
             file=sys.stderr,
         )
-    plan_fn = experiments.desk_plan if args.scale == "desk" else experiments.paper_plan
-    for construction in ("ss", "rr"):
-        plan = plan_fn(construction, seed_base=args.seed)
+    for plan in plans:
+        construction = plan.construction
         records, summaries = experiments.run_sweep(plan, jobs=args.jobs)
         rec_path = os.path.join(args.out_dir, f"fig1_{construction}_records.csv")
         svg_path = os.path.join(args.out_dir, f"fig1_{construction}.svg")

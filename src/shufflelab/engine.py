@@ -421,7 +421,8 @@ def tail_products(factors: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.nd
     should be passed as views: a contiguous copy changes the rounding.
     """
     # suffix[..., i] = prod of factors strictly after position i
-    suffix = np.ones_like(factors)
+    suffix = np.empty_like(factors)
+    suffix[..., -1] = 1.0
     np.cumprod(factors[..., :0:-1], axis=-1, out=suffix[..., -2::-1])
     return suffix[..., 0] * factors[..., 0], np.einsum("...i,...i->...", b, suffix)
 

@@ -65,6 +65,7 @@ class SweepPlan:
             eta = float(self.eta_rule)
             engine.check_eta(eta)
             object.__setattr__(self, "eta_rule", eta)
+        resolve_problem(self)  # a plan whose problem cannot be built is rejected here
 
     def eta_for(self, k: int) -> float:
         if self.eta_rule == "recommended":

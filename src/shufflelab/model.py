@@ -31,13 +31,15 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
 
 
 def _frozen_rows(curvatures, linear) -> tuple:
-    """Frozen copies of curvature and linear data: equal 2-D shapes,
-    nonnegative curvatures."""
+    """Frozen copies of curvature and linear data: equal 2-D shapes, finite
+    entries, nonnegative curvatures."""
     curvatures, linear = _frozen_array(curvatures), _frozen_array(linear)
     if curvatures.ndim != 2 or linear.ndim != 2:
         raise ValueError("curvature and linear data must be 2-D")
     if curvatures.shape != linear.shape:
         raise ValueError("curvature and linear data must have equal shapes")
+    if not (np.all(np.isfinite(curvatures)) and np.all(np.isfinite(linear))):
+        raise ValueError("curvature and linear data must be finite")
     if np.any(curvatures < 0):
         raise ValueError("component curvatures must be nonnegative")
     return curvatures, linear

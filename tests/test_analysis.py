@@ -48,6 +48,24 @@ class TestPatterns:
         with pytest.raises(ValueError):
             analysis._pattern_matrix(n)
 
+    @pytest.mark.parametrize("oracle", [
+        lambda n: beta_exact(n, 0.01, 1.0),
+        lambda n: sum_prod_expectation_exact(n, 0.01, 1.0),
+        lambda n: stochastic_terms_exact(n, 0.01, 1.0),
+        lambda n: expected_keyup_square(np.full(n, 0.1), [1.0, -1.0] * (n // 2)),
+        lambda n: permutation_moments([1.0, 2.0] * (n // 2), [0.5, -0.5] * (n // 2), 0.01),
+        lambda n: perm_moment_enumeration(1, n),
+        lambda n: expected_loss_rr_analytic(model.build_rr_construction(n, 1.0, 1.0, 4.0),
+                                            0.01, 2, np.zeros(3)),
+        lambda n: expected_loss_ss_exact(model.build_ss_construction(n, 1.0, 1.0, 4.0),
+                                         0.01, 2, np.zeros(2)),
+    ], ids=["beta", "sum-prod", "stochastic-terms", "keyup-square", "permutation-moments",
+            "perm-moment-enumeration", "loss-rr", "loss-ss"])
+    def test_oversized_n_names_the_monte_carlo_route(self, oracle):
+        oracle(16)
+        with pytest.raises(UnsupportedInstanceError, match="mc_expected_loss"):
+            oracle(18)
+
     def test_rational_weights_sum_to_one(self):
         mat = analysis._pattern_matrix(6)
         total = sum(Fraction(1, mat.shape[0]) for _ in mat)
@@ -104,6 +122,14 @@ class TestBetaEnvelope:
     def test_zero_alpha_invalid(self):
         with pytest.raises(ValueError):
             beta_lower_envelope(4, 0.0, 1.0)
+
+    def test_defined_past_the_enumeration_cap(self):
+        assert beta_lower_envelope(18, 0.5, 1.0) == 3.0
+
+    @pytest.mark.parametrize("n", [0, 5, 17])
+    def test_odd_n_invalid(self, n):
+        with pytest.raises(ValueError, match="n must be even"):
+            beta_lower_envelope(n, 0.5, 1.0)
 
     def test_ratio_positive_and_finite_on_grid(self):
         ratios = [
@@ -221,6 +247,13 @@ class TestAlternatingSums:
     def test_stochastic_terms_precondition(self):
         with pytest.raises(ValueError):
             stochastic_terms_exact(4, 0.5, 1.0)  # eta*lam_max*n = 2 > 1
+
+    @pytest.mark.parametrize("n", [0, 3, 17])
+    def test_odd_n_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be even"):
+            sum_prod_expectation_exact(n, 0.01, 1.0)
+        with pytest.raises(ValueError, match="n must be even"):
+            stochastic_terms_exact(n, 0.01, 1.0)
 
     def test_sum_prod_rejects_negative_lam_max(self):
         with pytest.raises(ValueError, match="lam_max must be nonnegative"):
@@ -351,11 +384,6 @@ class TestExpectedLossRR:
         p = model.build_rr_construction(6, 1.0, 1.0, 4.0)
         with pytest.raises(ValueError, match=message):
             expected_loss_rr_analytic(p, eta, 3, np.zeros(3))
-
-    def test_oversized_n_names_the_monte_carlo_route(self):
-        p = model.build_rr_construction(18, 1.0, 1.0, 4.0)
-        with pytest.raises(UnsupportedInstanceError, match="mc_expected_loss"):
-            expected_loss_rr_analytic(p, 0.01, 2, np.zeros(3))
 
     def test_second_moments_nonnegative_along_the_way(self):
         p = model.build_rr_construction(6, 1.0, 1.0, 4.0)

@@ -251,7 +251,7 @@ class TestSweepCommand:
                                  "--k-values", "1,2", "--seeds", "2", "--jobs", "1",
                                  "--G", "nan", "--out-dir", str(out_dir))
         assert (code, out, err) == (1, "", "error: G must be finite, got nan\n")
-        assert not (out_dir / "records.csv").exists()
+        assert not out_dir.exists()
 
 
 class TestReproduceFig1:
@@ -260,6 +260,13 @@ class TestReproduceFig1:
         code, out, err = run_cli(capsys, "reproduce-fig1", "--scale", "desk", "--jobs", "0",
                                  "--out-dir", str(out_dir))
         assert (code, out, err) == (1, "", "error: jobs must be >= 1, got 0\n")
+        assert not out_dir.exists()
+
+    def test_negative_seed_fails_before_any_work(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "reproduce-fig1", "--scale", "desk", "--seed", "-1",
+                                 "--out-dir", str(out_dir))
+        assert (code, out, err) == (1, "", "error: seed must be nonnegative, got -1\n")
         assert not out_dir.exists()
 
     def test_refuses_nonempty_out_dir(self, capsys, tmp_path):

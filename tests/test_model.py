@@ -261,6 +261,10 @@ class TestSerialization:
          "all components must have dimension dim"),
         (lambda doc: doc["components"][0]["curvatures"].__setitem__(0, -0.1),
          "component curvatures must be nonnegative"),
+        (lambda doc: doc["components"][1]["linear"].__setitem__(0, float("nan")),
+         "curvature and linear data must be finite"),
+        (lambda doc: doc["components"][3]["curvatures"].__setitem__(1, float("inf")),
+         "curvature and linear data must be finite"),
     ])
     def test_reader_rejects_malformed_documents(self, edit, message):
         doc = build_rr_construction(4, 1.0, 1.0, 2.0).to_json_dict()
@@ -305,6 +309,14 @@ class TestInvariants:
         fields[name] = value
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
             Problem(curvature_matrix=[[1.0], [1.0]], linear_matrix=[[0.0], [0.0]], **fields)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["curvature_matrix", "linear_matrix"])
+    def test_problem_rejects_non_finite_component_data(self, field, value):
+        data = dict(curvature_matrix=[[1.0], [1.0]], linear_matrix=[[0.0], [0.0]])
+        data[field] = [[value], [1.0]]
+        with pytest.raises(ValueError, match="^curvature and linear data must be finite$"):
+            Problem(**data, lam=1.0, lam_max=1.0, smooth_l=1.0, grad_bound=1.0)
 
     def test_problem_is_immutable(self):
         p = build_ss_construction(4, 1.0, 1.0, 2.0)
