@@ -39,6 +39,13 @@ in the state `np.random.default_rng(seed)` gives it.  A lone run, where the
 hash's fixed cost would dominate, calls `np.random.default_rng(seed)` itself.
 The tests and `verify` pin both routes to numpy's `SeedSequence` word for
 word.
+
+The closed form takes its large working arrays from one grow-only scratch
+per process (`_scratch`): the vectorized Fisher-Yates pass's index and work
+arrays, the gathered `[1 - eta*A | B]` rows and `tail_products`' suffix
+products.  It outlives every run, because a run freeing them hands their
+pages back to the system and the next run faults them in again.  No scratch
+view leaves the engine.
 """
 
 from __future__ import annotations
@@ -306,6 +313,29 @@ def _generators(seeds: np.ndarray):
 _SCALAR_WIDTH = 8
 
 
+# name -> buffer, for the life of the process, not of one run: most runs are
+# a single chunk, so a workspace per run would churn as a fresh allocation does.
+_SCRATCH = {}
+
+
+def _scratch(name: str, shape, dtype=np.float64) -> np.ndarray:
+    """An uninitialised C-contiguous array of `shape` and `dtype`: a view of
+    the engine's per-process buffer `name`.
+
+    The buffer only grows: it is replaced when a request outgrows it (or asks
+    for another dtype), and a smaller request takes a prefix of it.
+    Invariant: a view is valid only until the next request for its name, so
+    no scratch view leaves the engine (trajectories, `final_losses`,
+    `sample_permutation`, `perm_log` entries and `tail_products`' (P, Q) are
+    all new arrays) and `_chunked_iterates` holds none across a yield.
+    """
+    size = math.prod(shape)
+    buf = _SCRATCH.get(name)
+    if buf is None or buf.dtype != dtype or buf.size < size:
+        buf = _SCRATCH[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
 def _fisher_yates_bounds(n: int, epochs: int) -> np.ndarray:
     """Exclusive bounds of `epochs` epochs of Fisher-Yates draws, one row per
     epoch: j_i ~ U{0..i} for i = n-1..1 (no columns at n=1)."""
@@ -329,8 +359,9 @@ def _fisher_yates(draws: np.ndarray) -> np.ndarray:
     positions i and j_i, for i = n-1..1.
 
     Rows may come from different generators.  Fewer than `_SCALAR_WIDTH`
-    rows are swapped row by row on Python lists; more share one vectorized
-    pass.
+    rows are swapped row by row on Python lists into a new array.  More
+    share one vectorized pass whose result is a view of the engine's scratch
+    (see `_scratch`), valid only until the next call.
     """
     rows, n = draws.shape[0], draws.shape[1] + 1
     if rows < _SCALAR_WIDTH:
@@ -345,11 +376,13 @@ def _fisher_yates(draws: np.ndarray) -> np.ndarray:
     # i and j_i of every row as one gather and one scatter; where j_i == i
     # both halves write the same value.
     base = np.arange(0, rows * n, n)
-    pos_i = np.arange(n - 1, 0, -1)[:, None] + base
-    pos_j = draws.T + base
-    dst = np.concatenate((pos_i, pos_j), axis=1)
-    src = np.concatenate((pos_j, pos_i), axis=1)
-    work = np.tile(np.arange(n), rows)
+    dst = _scratch("fisher_yates_dst", (n - 1, 2 * rows), np.intp)
+    src = _scratch("fisher_yates_src", (n - 1, 2 * rows), np.intp)
+    np.add(np.arange(n - 1, 0, -1)[:, None], base, out=dst[:, :rows])  # positions i
+    np.add(draws.T, base, out=dst[:, rows:])  # positions j_i
+    src[:, :rows], src[:, rows:] = dst[:, rows:], dst[:, :rows]
+    work = _scratch("fisher_yates_work", (rows * n,), np.intp)
+    work.reshape(rows, n)[:] = np.arange(n)
     for d, s in zip(dst, src):
         work[d] = work[s]
     return work.reshape(rows, n)
@@ -418,10 +451,12 @@ def tail_products(factors: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.nd
     P = prod_i factors[..., i] and Q = sum_j b[..., j] * prod_{i>j} factors[..., i];
     every leading axis is a batch axis.  This is the one suffix-product kernel
     behind the epoch maps and the permutation oracles.  Transposed inputs
-    should be passed as views: a contiguous copy changes the rounding.
+    should be passed as views: a contiguous copy changes the rounding.  The
+    suffix products are C-ordered scratch (see `_scratch`); P and Q are new
+    arrays.
     """
     # suffix[..., i] = prod of factors strictly after position i
-    suffix = np.empty_like(factors)
+    suffix = _scratch("tail_products_suffix", factors.shape, factors.dtype)
     suffix[..., -1] = 1.0
     np.cumprod(factors[..., :0:-1], axis=-1, out=suffix[..., -2::-1])
     return suffix[..., 0] * factors[..., 0], np.einsum("...i,...i->...", b, suffix)
@@ -524,6 +559,10 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
         for t0 in range(0, k, epochs):
             c = min(epochs, k - t0)
             drawn = 1 if single else c
+            # `integers` has no `out`, so `draws` stays bound until the next
+            # chunk replaces it.  Freed earlier, the allocator handed its
+            # pages back and faulted them in again every chunk: ~4800 against
+            # ~250 faults per random-reshuffling run at n=500, k=2000.
             if lone is not None:
                 draws = _draws(scheme, n, drawn, lone, bounds)
             else:
@@ -534,14 +573,13 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
                 draws.reshape(-1, width)).reshape(draws.shape[:-1] + (n,))
             if perm_log is not None:
                 perm_log.extend(np.array(seq) for seq in seqs)
-            # `draws` and `gathered` stay bound until the next chunk replaces
-            # them.  Freed earlier, the allocator handed their pages back and
-            # faulted them in again every chunk: at n=500, k=2000, ~5x the
-            # minor faults and ~20% more time for the gathered rows, and ~4800
-            # against ~250 faults per random-reshuffling run for `draws`.
-            gathered = np.take(table, seqs, axis=0)  # (drawn, [runs,] n, 2d)
+            # `gathered` is scratch; `np.take` writes `out` directly only
+            # under mode="clip", and every index is in range.
+            gathered = _scratch("gathered", seqs.shape + (2 * d,))
+            np.take(table, seqs, axis=0, out=gathered, mode="clip")
             contraction, noise = tail_products(np.swapaxes(gathered[..., :d], -1, -2),
                                                np.swapaxes(gathered[..., d:], -1, -2))
+            del seqs, gathered  # scratch views are not held across the yield
             if single:
                 t = np.arange(1, k + 1).reshape((k,) + (1,) * (contraction.ndim - 1))
                 ys = contraction**t * y0 + eta * _geometric_factor(contraction, t) * noise

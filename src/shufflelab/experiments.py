@@ -80,7 +80,47 @@ class SweepPlan:
         return doc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is a bool
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# key of a plan document -> (test of its JSON value, what the error asks for)
+_PLAN_KEYS = {
+    "construction": (lambda v: isinstance(v, str), "a string"),
+    "n": (_is_int, "an integer"),
+    "G": (_is_number, "a number"),
+    "lambda": (_is_number, "a number"),
+    "lambda_max": (_is_number, "a number"),
+    "k_values": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "seeds": (_is_int, "an integer"),
+    "x0_preset": (lambda v: isinstance(v, str), "a string"),
+    "eta_rule": (lambda v: isinstance(v, str) or _is_number(v), '"recommended" or a number'),
+    "couple_rng": (lambda v: isinstance(v, bool), "a boolean"),
+    "seed_base": (_is_int, "an integer"),
+}
+_REQUIRED_PLAN_KEYS = ("construction", "n", "G", "lambda", "lambda_max", "k_values", "seeds")
+
+
 def plan_from_json_dict(doc: dict) -> SweepPlan:
+    """The plan a `SweepPlan.to_json_dict` document describes.  A document
+    that is not an object, lacks a required key, or has an unknown key or a
+    value of the wrong JSON type raises ValueError naming those keys."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a plan must be a JSON object, got {type(doc).__name__}")
+    missing = [key for key in _REQUIRED_PLAN_KEYS if key not in doc]
+    if missing:
+        raise ValueError(f"plan lacks required keys: {', '.join(missing)}")
+    unknown = sorted(set(doc) - set(_PLAN_KEYS))
+    if unknown:
+        raise ValueError(f"unknown plan keys: {', '.join(unknown)}")
+    wrong = [f"{key} must be {what}" for key, (ok, what) in _PLAN_KEYS.items()
+             if key in doc and not ok(doc[key])]
+    if wrong:
+        raise ValueError(f"bad plan fields: {'; '.join(wrong)}")
     doc = dict(doc)
     doc["lam"] = doc.pop("lambda")
     doc["lam_max"] = doc.pop("lambda_max")
@@ -316,7 +356,9 @@ def emit_summaries_csv(summaries: Sequence[SweepSummary], path,
         fh.write("\n".join(lines) + "\n")
 
 
-def _data_rows(path) -> List[List[str]]:
+def _data_rows(path, header: str) -> List[List[str]]:
+    """The rows of a CSV below its header line, which must be `header`;
+    blank and `#` lines are skipped."""
     rows = []
     with open(path) as fh:
         for line in fh:
@@ -324,28 +366,28 @@ def _data_rows(path) -> List[List[str]]:
             if not line or line.startswith("#"):
                 continue
             rows.append(line.split(","))
-    return rows
+    if not rows:
+        raise ValueError(f"no header in {path}")
+    if rows[0] != header.split(","):
+        raise ValueError(f"unexpected header in {path}")
+    return rows[1:]
 
 
 def read_records_csv(path) -> List[SweepRecord]:
-    rows = _data_rows(path)
-    if rows[0] != RECORDS_HEADER.split(","):
-        raise ValueError(f"unexpected records header in {path}")
+    rows = _data_rows(path, RECORDS_HEADER)
     return [
         SweepRecord(scheme=r[0], k=int(r[1]), seed=int(r[2]),
                     final_loss=float(r[3]), log10_loss=float(r[4]))
-        for r in rows[1:]
+        for r in rows
     ]
 
 
 def read_summaries_csv(path) -> List[SweepSummary]:
-    rows = _data_rows(path)
-    if rows[0] != SUMMARIES_HEADER.split(","):
-        raise ValueError(f"unexpected summaries header in {path}")
+    rows = _data_rows(path, SUMMARIES_HEADER)
     return [
         SweepSummary(scheme=r[0], k=int(r[1]), mean_log10_loss=float(r[2]),
                      std_log10_loss=float(r[3]), n_seeds=int(r[4]))
-        for r in rows[1:]
+        for r in rows
     ]
 
 

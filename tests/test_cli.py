@@ -199,20 +199,38 @@ class TestSweepCommand:
         assert (out_dir / "summaries.csv").exists()
         assert (out_dir / "sweep.svg").exists()
 
+    PLAN = {
+        "construction": "ss", "n": 8, "G": 1.0, "lambda": 1.0, "lambda_max": 2.0,
+        "k_values": [1, 2], "seeds": 2, "x0_preset": "fig1",
+        "eta_rule": "recommended", "couple_rng": False, "seed_base": 5,
+    }
+
     def test_sweep_from_plan_file(self, capsys, tmp_path):
-        plan = {
-            "construction": "ss", "n": 8, "G": 1.0, "lambda": 1.0, "lambda_max": 2.0,
-            "k_values": [1, 2], "seeds": 2, "x0_preset": "fig1",
-            "eta_rule": "recommended", "couple_rng": False, "seed_base": 5,
-        }
         plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps(plan))
+        plan_path.write_text(json.dumps(self.PLAN))
         out_dir = tmp_path / "out"
         code, _, _ = run_cli(capsys, "sweep", "--plan", str(plan_path),
                              "--out-dir", str(out_dir))
         assert code == 0
         text = (out_dir / "records.csv").read_text()
         assert '"seed_base": 5' in text
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"extra": 1}, "unknown plan keys: extra"),
+        ([1, 2], "a plan must be a JSON object, got list"),
+        ({"k_values": 5}, "k_values must be a list of integers"),
+        ({"seeds": "2"}, "seeds must be an integer"),
+        ({"lambda": None}, "lambda must be a number"),
+    ])
+    def test_malformed_plan_file_fails_cleanly(self, capsys, tmp_path, doc, named):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({**self.PLAN, **doc} if isinstance(doc, dict) else doc))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "sweep", "--plan", str(plan_path), "--jobs", "1",
+                                 "--out-dir", str(out_dir))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and named in err
+        assert not out_dir.exists()
 
     def test_negative_seed_fails_before_any_work(self, capsys, tmp_path):
         out_dir = tmp_path / "out"

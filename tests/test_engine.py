@@ -543,6 +543,48 @@ class TestTailProducts:
         assert Q == 1.0 * 0.25 * 2.0 - 3.0 * 2.0 + 4.0
 
 
+class TestScratch:
+    """The engine's per-process scratch changes no value, and nothing it
+    returns is a view of a scratch buffer."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.WITH_REPLACEMENT, Scheme.RANDOM_RESHUFFLE])
+    def test_shapes_small_large_small_match_reference(self, scheme, monkeypatch):
+        # from empty buffers: later small shapes take prefixes of grown ones
+        monkeypatch.setattr(engine, "_SCRATCH", {})
+        mc = model.build_rr_construction(10, 1.0, 1.0, 4.0), [1.0, 0.5, -0.5]
+        desk = experiments.resolve_problem(experiments.desk_plan("rr"))
+        paper = experiments.resolve_problem(experiments.paper_plan("ss"))
+        for (p, x0), k, seeds in ((mc, 5, range(40)), (desk, 400, [2021]),
+                                  (paper, 2000, [2021]), (desk, 400, [7]), (mc, 5, range(40, 80))):
+            eta = recommended_eta(p.n, k, 1.0)
+            want = [per_epoch_closed_form(p, RunConfig(scheme, eta, k, x0, s))[1][-1]
+                    for s in seeds]
+            np.testing.assert_array_equal(engine.final_losses(p, scheme, eta, k, x0, seeds), want)
+
+    def test_results_keep_their_values(self):
+        p, x0 = model.build_rr_construction(100, 1.0, 1.0, 8.0), [1.0, 0.5, -0.5]
+        eta, rng = recommended_eta(100, 400, 1.0), np.random.default_rng(1)
+        log = []
+        traj = run_sgd_closed_form(p, RunConfig(Scheme.RANDOM_RESHUFFLE, eta, 400, x0, 3), log)
+        losses = engine.final_losses(p, Scheme.RANDOM_RESHUFFLE, eta, 20, x0, range(30))
+        perm = sample_permutation(100, rng)
+        pq = engine.tail_products(rng.uniform(size=(4, 3, 50)), rng.normal(size=(4, 3, 50)))
+        results = [traj.points, traj.losses, losses, perm, *log, *pq]
+        copies = [r.copy() for r in results]
+        # later calls of other shapes: paper-scale runs, Monte Carlo blocks
+        paper, paper_x0 = experiments.resolve_problem(experiments.paper_plan("ss"))
+        for scheme in Scheme:
+            run_sgd_closed_form(paper, RunConfig(scheme, recommended_eta(500, 100, 1.0), 100,
+                                                 paper_x0, 5))
+            engine.final_losses(p, scheme, eta, 5, x0, range(100))
+        engine.tail_products(rng.uniform(size=(2, 7)), rng.normal(size=(2, 7)))
+        sample_permutation(500, rng)
+        for got, want in zip(results, copies):
+            np.testing.assert_array_equal(got, want)
+        assert not any(np.shares_memory(r, buf)
+                       for r in results for buf in engine._SCRATCH.values())
+
+
 class TestSeedRule:
     @staticmethod
     def first_word(entropy, key):

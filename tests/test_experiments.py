@@ -40,6 +40,12 @@ class TestPlan:
         doc = json.loads(json.dumps(plan.to_json_dict()))
         assert plan_from_json_dict(doc) == plan
 
+    def test_json_missing_key_named(self):
+        doc = tiny_plan().to_json_dict()
+        del doc["lambda"]
+        with pytest.raises(ValueError, match="^plan lacks required keys: lambda$"):
+            plan_from_json_dict(doc)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             tiny_plan(k_values=(4, 2))
@@ -187,6 +193,14 @@ class TestCsv:
         data = [l for l in path.read_text().splitlines() if not l.startswith("#")]
         assert data == ["scheme,k,seed,final_loss,log10_loss"]
         assert read_records_csv(path) == []
+
+    @pytest.mark.parametrize("reader", [read_records_csv, read_summaries_csv])
+    def test_no_header_rejected(self, tmp_path, reader):
+        path = tmp_path / "empty.csv"
+        for text in ("", "# plan={}\n\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="^no header in "):
+                reader(path)
 
     def test_byte_determinism(self, tmp_path):
         plan = tiny_plan()
