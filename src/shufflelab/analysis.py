@@ -376,7 +376,7 @@ def mc_expected_loss(p: Problem, scheme: "_engine.Scheme", eta: float, k: int, x
 
     Run r is seeded with `derive_run_seed(seed, r)`, all runs' seeds in one
     `engine.derive_seeds` call; `engine.final_losses` runs them batched,
-    each with its own generator, so every loss equals that run's
+    each run on its own stream, so every loss equals that run's
     `run_sgd_closed_form` final loss bit for bit.
     """
     if runs < 2:

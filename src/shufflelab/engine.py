@@ -15,10 +15,10 @@ the one PCG64 stream, so that call yields exactly the draws of c per-epoch
 calls and leaves the generator in the same state; chunking changes the
 number of calls, never the values drawn.
 
-`final_losses` runs a batch of runs through the same chunks.  A batch keeps
-one generator per run, seeded with that run's seed and making exactly that
-run's draws, so each run's stream is unchanged; only the Fisher-Yates pass,
-the tail products and the map recurrence are shared across the batch.
+`final_losses` runs a batch of runs through the same chunks.  Every run
+makes exactly the draws of its own stream, seeded with its own seed; the
+Fisher-Yates pass, the tail products and the map recurrence are shared
+across the batch.
 
 Two loops are sequential: Fisher-Yates steps through a row's positions, and
 the map recurrence y <- contraction*y + noise through a run's epochs.  Each
@@ -29,16 +29,23 @@ a Monte Carlo block) in numpy.  The values are the same either way: swaps
 move integers, and a Python float rounds the multiply and then the add as
 numpy does, with no fused multiply-add in either.
 
-Seeding is numpy's, computed in bulk.  Numpy's `SeedSequence` is a fixed
-integer hash of the seed's 32-bit words, so `_seed_states` evaluates it for
-many rows at once: `derive_seeds` takes the first uint64 word for every spawn
-key of a sweep cell or Monte Carlo estimate in one pass, and a batched block
-of runs hands each run's `SeedSequence(seed).generate_state(4, np.uint64)` to
-numpy's own `PCG64` through a preset seed sequence, so each generator starts
-in the state `np.random.default_rng(seed)` gives it.  A lone run, where the
-hash's fixed cost would dominate, calls `np.random.default_rng(seed)` itself.
-The tests and `verify` pin both routes to numpy's `SeedSequence` word for
-word.
+Seeding and a block's draws are numpy's, computed in bulk.  Numpy's
+`SeedSequence` is a fixed integer hash of the seed's 32-bit words, so
+`_seed_states` evaluates it for many rows at once: `derive_seeds` takes the
+first uint64 word for every spawn key of a sweep cell or Monte Carlo
+estimate in one pass.  PCG64 and numpy's bounded draw are fixed integer maps
+too, so a block of many runs makes no generator: from each run's
+`SeedSequence(seed).generate_state(4, np.uint64)` words, `_pcg64_outputs`
+computes the run's PCG64 outputs for every run at once, and `_block_draws`
+turns their 32-bit words into the draws `Generator.integers` would return,
+as uint64 array expressions.  The rare run where numpy's bounded draw
+rejects a word is drawn again through `np.random.default_rng(seed)`.  A
+block of fewer than `_ARRAY_RUNS` runs, whose runs are long, keeps one
+`np.random.default_rng(seed)` per run and `Generator.integers`, and so does
+a lone run, which may span several chunks; so do `run_sgd` and
+`sample_permutation`: the explicit-step reference stays on numpy's own
+generator.  The tests and `verify` pin the array route to numpy's
+`SeedSequence`, `random_raw` and `integers` word for word.
 
 The closed form takes its large working arrays from one grow-only scratch
 per process (`_scratch`): the vectorized Fisher-Yates pass's index and work
@@ -155,14 +162,16 @@ _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
 
 
+@functools.cache
 def _hash_constants(init: int, mult: int, calls: int) -> Tuple[np.ndarray, np.ndarray]:
     """The operands of `calls` successive `hashmix` calls as two (calls, 1)
-    uint32 arrays: a call xors with the current constant, advances it by
-    `mult` and multiplies by the new one."""
+    read-only uint32 arrays: a call xors with the current constant, advances
+    it by `mult` and multiplies by the new one."""
     consts = [init]
     for _ in range(calls):
         consts.append(consts[-1] * mult & _MASK32)
     consts = np.array(consts, dtype=np.uint32)[:, None]
+    consts.flags.writeable = False
     return consts[:-1], consts[1:]
 
 
@@ -222,7 +231,7 @@ def _seed_states(values: np.ndarray, head: list, n_words: int) -> np.ndarray:
 
     Row r's entropy words are `head` (the same for every row) followed by the
     words of values[r, 0], values[r, 1], ..., each split like `_int_words`.
-    Rows whose integers split into the same word counts share one hash pass.
+    Rows with the same total word count share one hash pass.
     """
     pieces, rest = [], values
     counts = np.ones(values.shape, dtype=np.int64)
@@ -233,14 +242,22 @@ def _seed_states(values: np.ndarray, head: list, n_words: int) -> np.ndarray:
         if not more.any():
             break
         counts += more
-    layouts, group = np.unique(counts, axis=0, return_inverse=True)
-    group = group.reshape(-1)  # its shape varies across numpy 2.x releases
+    # Every row's own words in order, rows sorted by their count: masking the
+    # (rows, values, pieces) stack reads them row-major.
+    lengths = counts.sum(axis=1)
+    order = np.argsort(lengths, kind="stable")
+    present = np.arange(len(pieces)) < counts[order, :, None]
+    words = np.stack(pieces, axis=-1)[order][present]
+    head = np.array(head, dtype=np.uint32)[:, None]
     states = np.empty((len(values), n_words), dtype=np.uint64)
-    for g, layout in enumerate(layouts):
-        rows = np.flatnonzero(group == g)
-        words = [np.full(len(rows), w, dtype=np.uint32) for w in head]
-        words += [pieces[i][rows, j] for j, c in enumerate(layout) for i in range(c)]
-        states[rows] = _seed_sequence_state(np.stack(words), n_words).T
+    first = used = 0
+    sizes = np.bincount(lengths)
+    for length in np.flatnonzero(sizes).tolist():
+        size = int(sizes[length])
+        own = words[used:used + size * length].reshape(size, length).T
+        entropy = np.concatenate((np.broadcast_to(head, (len(head), size)), own))
+        states[order[first:first + size]] = _seed_sequence_state(entropy, n_words).T
+        first, used = first + size, used + size * length
     return states
 
 
@@ -273,35 +290,97 @@ def derive_seed(entropy: int, spawn_key: tuple) -> int:
     return derive_seeds(entropy, [spawn_key])[0]
 
 
+# numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG with the multiplier
+# below, each output stepping the state and returning the XSL-RR rotation of
+# its two halves.  128-bit values are (hi, lo) pairs of uint64 arrays, whose
+# products wrap mod 2**64 as its C does.  Scalar uint64 products would warn
+# on overflow, so every product has an array operand.
+_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+_MASK64 = 2**64 - 1
+_MASK128 = 2**128 - 1
+
+
+def _mul_hi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products a*b of uint64 arrays, from
+    their 32-bit halves."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    cross0, cross1 = a0 * b1, a1 * b0
+    carry = (a0 * b0 >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
+    return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (carry >> 32)
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo) -> Tuple[np.ndarray, np.ndarray]:
+    """(a*b) mod 2**128 of (hi, lo) uint64 array pairs."""
+    return _mul_hi(a_lo, b_lo) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
 @functools.cache
-def _preset_state_class() -> type:
-    """The seed sequence type `_generators` hands to `PCG64`, defined on first
-    use: numpy loads `numpy.random` lazily, and importing the engine should
-    not load it."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class PresetState(ISeedSequence):
-        """A seed sequence whose state is already computed: one row of
-        `_seed_states(seeds, [], 4)`, from which numpy still does PCG64's
-        own seeding."""
-
-        def __init__(self, state: np.ndarray):
-            self._state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError("a preset state holds exactly 4 uint64 words")
-            return self._state
-
-    return PresetState
+def _pcg_jumps(count: int) -> Tuple[np.ndarray, ...]:
+    """PCG64's m-step jumps for m = 2..count+1 as read-only uint64 arrays
+    (A hi, A lo, C hi, C lo): m steps take state s to A*s + C*inc mod 2**128,
+    with A = MULT**m and C = 1 + MULT + ... + MULT**(m-1)."""
+    a, c, jumps = _PCG_MULT, 1, []  # m = 1
+    for _ in range(count):
+        a, c = a * _PCG_MULT & _MASK128, c + a & _MASK128
+        jumps.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
+    columns = tuple(np.array(col, dtype=np.uint64) for col in zip(*jumps))
+    for col in columns:
+        col.flags.writeable = False
+    return columns
 
 
-def _generators(seeds: np.ndarray):
-    """`np.random.default_rng(seed)` for each uint64 seed in turn, in the same
-    state, with one vectorized `SeedSequence` pass for all of them."""
-    preset = _preset_state_class()
-    for state in _seed_states(seeds[:, None], [], 4):
-        yield np.random.Generator(np.random.PCG64(preset(state)))
+def _pcg64_outputs(states: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` outputs of numpy's PCG64 seeded with each row of
+    `states`, shape (rows, count).  With states = `_seed_states(seeds[:, None],
+    [], 4)`, row r is `np.random.default_rng(seeds[r]).bit_generator
+    .random_raw(count)`.
+
+    Seeding follows numpy's `pcg64_set_seed`: from the words (w0, w1, w2, w3),
+    initstate = w0*2**64 + w1 and inc = 2*(w2*2**64 + w3) + 1; the state starts
+    at 0, steps, adds initstate and steps again.  So output j is the state
+    x = initstate + inc advanced by j + 2 steps, which `_pcg_jumps` gives for
+    every (row, j) at once.
+    """
+    w0, w1, w2, w3 = (col[:, None] for col in states.T)
+    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    x_lo = w1 + inc_lo
+    x_hi = w0 + inc_hi + (x_lo < w1)
+    # a power-of-two table length keeps the cache small
+    a_hi, a_lo, c_hi, c_lo = (col[:count] for col in _pcg_jumps(1 << (count - 1).bit_length()))
+    hi, lo = _mul128(x_hi, x_lo, a_hi, a_lo)
+    step_hi, step_lo = _mul128(inc_hi, inc_lo, c_hi, c_lo)
+    lo += step_lo
+    hi += step_hi + (lo < step_lo)
+    value, rot = hi ^ lo, hi >> 58
+    return value >> rot | value << (64 - rot & 63)
+
+
+def _block_draws(seeds: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """`np.random.default_rng(seed).integers(0, bounds)` for each uint64 seed
+    of a block, shape (runs,) + bounds.shape, with no generator per run.
+
+    numpy's bounded draw for bounds below 2**32 (Lemire, arXiv 1805.10941)
+    takes the run's next 32-bit word, the low half of a PCG64 output first,
+    and returns w*b >> 32, unless (w*b mod 2**32) < 2**32 mod b: then it
+    rejects w and draws from the next word, which shifts every later draw of
+    the run.  All draws are first computed as if none rejects, and a run
+    where one does (chance below b / 2**32 per draw) is drawn again through
+    numpy's own generator.  A block's streams are never drawn from again, so
+    an odd word count's unused high half is dropped.  numpy takes no word
+    for a bound of 1; the engine's bounds are at least 2 (a `Problem` has
+    n > 1), and bounds that are all 1 give zeros either way.
+    """
+    size = bounds.size
+    raw = _pcg64_outputs(_seed_states(seeds[:, None], [], 4), (size + 1) // 2)
+    words = np.empty((len(seeds), 2 * raw.shape[1]), dtype=np.uint64)
+    words[:, 0::2], words[:, 1::2] = raw & _MASK32, raw >> 32
+    flat = bounds.reshape(-1)
+    scaled = words[:, :size] * flat.astype(np.uint64)
+    draws = (scaled >> 32).astype(np.int64).reshape((len(seeds),) + bounds.shape)
+    rejected = ((scaled & _MASK32) < (2**32 % flat).astype(np.uint64)).any(axis=1)
+    for r in np.flatnonzero(rejected).tolist():
+        draws[r] = np.random.default_rng(int(seeds[r])).integers(0, bounds)
+    return draws
 
 
 # Width at which the engine's two sequential loops, Fisher-Yates over its
@@ -358,7 +437,7 @@ def _fisher_yates(draws: np.ndarray) -> np.ndarray:
     Fisher-Yates makes from `draws` of shape (rows, n-1): step i swaps
     positions i and j_i, for i = n-1..1.
 
-    Rows may come from different generators.  Fewer than `_SCALAR_WIDTH`
+    Rows may come from different runs' streams.  Fewer than `_SCALAR_WIDTH`
     rows are swapped row by row on Python lists into a new array.  More
     share one vectorized pass whose result is a view of the engine's scratch
     (see `_scratch`), valid only until the next call.
@@ -520,6 +599,15 @@ def _apply_maps(contraction: np.ndarray, noise: np.ndarray, y0: np.ndarray) -> n
 # chunk's (epochs, runs, n, d) factor arrays to 2**14 * d floats.
 _CHUNK_ENTRIES = 2**14
 
+# Runs in a block from which its draws are computed as array expressions
+# (`_block_draws`) instead of by one numpy generator per run.  The array
+# route costs ~50 ns per draw plus ~0.2 ms per block, a generator ~20 us per
+# run plus ~3-10 ns per draw.  Timed per run at the most draws a block of
+# that many runs holds (numpy 2.4, one core): 8 runs x 2048 draws 88 against
+# 26 us, 16 x 1024 45 against 23 us, 32 x 512 20 against 20 us, 64 x 256 11
+# against 19 us, 327 x 50 2 against 16 us.
+_ARRAY_RUNS = 32
+
 
 def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.ndarray,
                       seeds, perm_log: Optional[list] = None):
@@ -530,9 +618,10 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
 
     A chunk holds whole runs when k*n fits in `_CHUNK_ENTRIES`, else about
     `_CHUNK_ENTRIES // n` epochs of one run; a run's chunks come in epoch
-    order.  Each run draws from its own generator (see the module
-    docstring); the chunk's rows then share one Fisher-Yates pass, one
-    gather from the `[1 - eta*A | B]` table and one `tail_products` call.
+    order.  Each run makes its own stream's draws, a block of at least
+    `_ARRAY_RUNS` runs as array expressions (see the module docstring);
+    the chunk's rows then share one Fisher-Yates pass, one gather from the
+    `[1 - eta*A | B]` table and one `tail_products` call.
     Single shuffling draws one permutation per run and takes
     x_t = S^t x0 + eta * (1-S^t)/(1-S) * X for all k epochs at once, so its
     chunks always hold whole runs; zero-curvature directions (S == 1) take
@@ -548,13 +637,15 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
     # Row i is [1 - eta a_i | b_i], so one gather fetches a chunk's factors
     # and coefficients.  The halves go to `tail_products` as views.
     table = np.concatenate((1.0 - eta * p.curvature_matrix, p.linear_matrix), axis=1)
-    bounds = _fisher_yates_bounds(n, 1 if single else epochs)
+    bounds = (np.full((epochs, n), n) if width == n
+              else _fisher_yates_bounds(n, 1 if single else epochs))
     seeds = np.asarray(seeds, dtype=np.uint64)
     for first in range(0, len(seeds), runs):
         block = seeds[first:first + runs]
         # Only a run alone in its block spans several chunks, so at most one
         # generator outlives the draws it makes.
-        lone = np.random.default_rng(int(block[0])) if len(block) == 1 else None
+        rngs = ([np.random.default_rng(int(seed)) for seed in block.tolist()]
+                if len(block) < _ARRAY_RUNS else None)
         y = y0
         for t0 in range(0, k, epochs):
             c = min(epochs, k - t0)
@@ -563,12 +654,12 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
             # chunk replaces it.  Freed earlier, the allocator handed its
             # pages back and faulted them in again every chunk: ~4800 against
             # ~250 faults per random-reshuffling run at n=500, k=2000.
-            if lone is not None:
-                draws = _draws(scheme, n, drawn, lone, bounds)
+            if rngs is None:
+                draws = _block_draws(block, bounds[:drawn]).swapaxes(0, 1)
+            elif len(rngs) == 1:
+                draws = _draws(scheme, n, drawn, rngs[0], bounds)
             else:
-                draws = np.empty((drawn, len(block), width), dtype=np.int64)
-                for r, rng in enumerate(_generators(block)):
-                    draws[:, r] = _draws(scheme, n, drawn, rng, bounds)
+                draws = np.stack([_draws(scheme, n, drawn, rng, bounds) for rng in rngs], axis=1)
             seqs = draws if width == n else _fisher_yates(
                 draws.reshape(-1, width)).reshape(draws.shape[:-1] + (n,))
             if perm_log is not None:
@@ -615,8 +706,8 @@ def final_losses(p: Problem, scheme: Scheme, eta: float, k: int, x0, seeds) -> n
     """F(x_k) of one run per seed, batched across runs.
 
     Entry r equals `run_sgd_closed_form(p, RunConfig(scheme, eta, k, x0,
-    seeds[r])).final_loss` bit for bit: each run keeps its own generator
-    and draws, and the runs of a chunk share the arithmetic of
+    seeds[r])).final_loss` bit for bit: each run makes its own stream's
+    draws, and the runs of a chunk share the arithmetic of
     `_chunked_iterates`.  Rejects a negative or non-finite eta, k < 1 and
     seeds outside [0, 2**64) as `RunConfig` does.
     """

@@ -174,18 +174,29 @@ def trajectory_discrepancy(a: engine.Trajectory, b: engine.Trajectory) -> float:
 
 
 def _check_seeding() -> CheckResult:
-    """The vectorized seeding against numpy: `derive_seeds` against
-    `SeedSequence`, and batched final losses (generators seeded from one
-    vectorized pass) against per-run `default_rng` runs."""
+    """The vectorized seeding and draws against numpy: `derive_seeds` against
+    `SeedSequence`, a block's PCG64 outputs against `random_raw` and its
+    bounded draws against `Generator.integers` at a bound that rejects about
+    half its words, and batched final losses against per-run `default_rng`
+    runs."""
     keys = [(r % 3, r << (r % 48)) for r in range(256)]  # 1- and 2-word elements
     got = engine.derive_seeds(2**32 + 5, keys)
     want = [int(np.random.SeedSequence(2**32 + 5, spawn_key=key)
                 .generate_state(1, np.uint64)[0]) for key in keys]
     seed_misses = sum(a != b for a, b in zip(got, want))
+    seeds = [r << 27 | r for r in range(64)]  # both sides of 2**32
+    block = np.array(seeds, dtype=np.uint64)
+    raw = engine._pcg64_outputs(engine._seed_states(block[:, None], [], 4), 16)
+    draws = engine._block_draws(block, np.full(4, 2**31 + 1))
+    draw_misses = 0
+    for seed, raw_row, draw_row in zip(seeds, raw, draws):
+        draw_misses += int(np.any(raw_row != np.random.default_rng(seed)
+                                  .bit_generator.random_raw(16)))
+        draw_misses += int(np.any(draw_row != np.random.default_rng(seed)
+                                  .integers(0, 2**31 + 1, size=4)))
     n, k = 10, 5
     p = model.build_rr_construction(n, 1.0, 1.0, 4.0)
     x0, eta = [1.0, 0.5, -0.5], engine.recommended_eta(n, k, 1.0)
-    seeds = [r << 27 | r for r in range(64)]  # both sides of 2**32
     loss_misses = 0
     for scheme in engine.Scheme:
         batched = engine.final_losses(p, scheme, eta, k, x0, seeds)
@@ -193,9 +204,10 @@ def _check_seeding() -> CheckResult:
                    .final_loss for s in seeds]
         loss_misses += int(np.sum(batched != np.array(per_run)))
     return _result(
-        "vectorized seeding == numpy SeedSequence and default_rng",
-        seed_misses == 0 and loss_misses == 0,
+        "vectorized seeding and draws == numpy SeedSequence and default_rng",
+        seed_misses == 0 and draw_misses == 0 and loss_misses == 0,
         f"derive_seeds mismatches={seed_misses}/{len(keys)}, "
+        f"raw/draw mismatches={draw_misses}/{2 * len(seeds)}, "
         f"final_losses mismatches={loss_misses}/{3 * len(seeds)}",
     )
 

@@ -483,12 +483,16 @@ class TestFinalLosses:
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_block_mixes_seed_word_counts(self, scheme):
-        # seeds below 2**32 hash one entropy word, the others two
+        # seeds below 2**32 hash one entropy word, the others two; 7 runs
+        # draw from a generator each, 35 as array expressions
         seeds = [3, 2**32 - 1, 2**32, 17, 2**40 + 9, 0, 2**64 - 1]
+        more = [s ^ r for r in range(1, 5) for s in seeds]
         p = model.build_rr_construction(10, 1.0, 1.0, 4.0)
-        assert len(seeds) * 10 * 5 <= engine._CHUNK_ENTRIES  # one block
-        self.assert_matches_per_run(p, scheme, recommended_eta(10, 5, 1.0), 5,
-                                    [1.0, 0.5, -0.5], seeds)
+        assert len(seeds) < engine._ARRAY_RUNS <= len(seeds + more)
+        assert len(seeds + more) * 10 * 5 <= engine._CHUNK_ENTRIES  # one block
+        for block in (seeds, seeds + more):
+            self.assert_matches_per_run(p, scheme, recommended_eta(10, 5, 1.0), 5,
+                                        [1.0, 0.5, -0.5], block)
 
     def test_mc_expected_loss_equals_per_run_loop(self):
         n, k, runs = 10, 5, 500
@@ -636,15 +640,44 @@ class TestSeedRule:
         got = engine.derive_seeds(102, keys)
         assert got == [self.first_word(102, (r,)) for r in range(20000)]
 
-    def test_generators_match_default_rng(self):
+    def test_pcg64_outputs_match_random_raw(self):
         seeds = [0, 1, 2**32 - 1, 2**32, 2**40 + 17, 2**64 - 1]
-        gens = list(engine._generators(np.array(seeds, dtype=np.uint64)))
-        assert len(gens) == len(seeds)
-        for seed, gen in zip(seeds, gens):
-            ref = np.random.default_rng(seed)
-            assert gen.bit_generator.state == ref.bit_generator.state
-            np.testing.assert_array_equal(gen.bit_generator.random_raw(64),
-                                          ref.bit_generator.random_raw(64))
+        states = engine._seed_states(np.array(seeds, dtype=np.uint64)[:, None], [], 4)
+        raw = engine._pcg64_outputs(states, 64)
+        assert raw.shape == (len(seeds), 64) and raw.dtype == np.uint64
+        for seed, row in zip(seeds, raw):
+            np.testing.assert_array_equal(
+                row, np.random.default_rng(seed).bit_generator.random_raw(64))
+
+    # 1- and 2-word seeds in one block
+    BLOCK_SEEDS = [5, 2**32 + 3, 0, 2**64 - 1, 2**32 - 1, 2**40 + 17, 12345]
+
+    @pytest.mark.parametrize("n, epochs", [(7, 3), (10, 1), (10, 5), (100, 5)])
+    def test_block_draws_match_integers(self, n, epochs):
+        seeds = self.BLOCK_SEEDS
+        fisher_yates = engine._fisher_yates_bounds(n, epochs)
+        uniform = np.full((epochs, n), n)
+        # odd word counts: 21 uniform draws at (7, 3), 9 Fisher-Yates draws at (10, 1)
+        for bounds, draw in ((fisher_yates, lambda rng: rng.integers(0, fisher_yates)),
+                             (uniform, lambda rng: rng.integers(0, n, size=(epochs, n)))):
+            got = engine._block_draws(np.array(seeds, dtype=np.uint64), bounds)
+            assert got.shape == (len(seeds),) + bounds.shape and got.dtype == np.int64
+            for seed, row in zip(seeds, got):
+                np.testing.assert_array_equal(row, draw(np.random.default_rng(seed)))
+
+    def test_rejected_words_fall_back_to_numpy(self, monkeypatch):
+        # at b = 2**31 + 1 a word is rejected when w*b mod 2**32 < 2**31 - 1,
+        # about half the time, and every later draw of that run shifts
+        bound = 2**31 + 1
+        seeds = [r * (2**32 + 7) % 2**64 for r in range(64)] + self.BLOCK_SEEDS
+        want = [np.random.default_rng(s).integers(0, bound, size=3) for s in seeds]
+        fallbacks = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: fallbacks.append(seed) or default_rng(seed))
+        got = engine._block_draws(np.array(seeds, dtype=np.uint64), np.full(3, bound))
+        np.testing.assert_array_equal(got, want)
+        assert 0 < len(fallbacks) < len(seeds)
 
     @pytest.mark.parametrize("entropy, key", [(-1, (0,)), (0, (-1,)), (3, (1, -2**40, 2))])
     def test_negative_entropy_or_key_rejected_as_numpy_does(self, entropy, key):
