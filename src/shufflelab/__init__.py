@@ -26,7 +26,6 @@ from .engine import (
 )
 from .analysis import (
     PermutationMoments,
-    MomentState,
     UnsupportedInstanceError,
     beta_exact,
     beta_lower_envelope,

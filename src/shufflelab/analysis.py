@@ -117,14 +117,15 @@ def keyup_quantity(alphas, betas, perm) -> float:
     return float(q)
 
 
-def two_valued_tail_products(a, b, eta: float) -> Tuple[np.ndarray, np.ndarray]:
-    """(P, Q) of a uniform permutation of one coordinate's (a_i, b_i) data, as
-    one value per equiprobable arrangement, exactly.
+def two_valued_tail_products(a, b, eta: float) -> np.ndarray:
+    """Q of a uniform permutation of one coordinate's (a_i, b_i) data, as one
+    value per equiprobable arrangement, exactly.
 
     Constant data has one arrangement (closed form).  Two distinct (a, b)
     pairs in equal counts reduce to a uniform balanced pattern, one row per
     `_pattern_matrix(n)` row.  Other data, and n above the enumeration cap,
-    raise UnsupportedInstanceError.
+    raise UnsupportedInstanceError.  P = prod_i (1 - eta a_i) is the same for
+    every arrangement, so it is not returned.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -132,7 +133,7 @@ def two_valued_tail_products(a, b, eta: float) -> Tuple[np.ndarray, np.ndarray]:
     pairs, counts = np.unique(np.stack([a, b], axis=1), axis=0, return_counts=True)
     if pairs.shape[0] == 1:
         s = 1.0 - eta * pairs[0, 0]
-        return np.array([s**n]), pairs[0, 1] * _engine._geometric_factor([s], n)
+        return pairs[0, 1] * _engine._geometric_factor([s], n)
     if pairs.shape[0] > 2:
         raise UnsupportedInstanceError(
             "exact moments need <= 2 distinct (curvature, linear) pairs"
@@ -144,15 +145,19 @@ def two_valued_tail_products(a, b, eta: float) -> Tuple[np.ndarray, np.ndarray]:
     labels = _pattern_matrix(n)
     # one gather per 1-D column: ~3x faster than pairs[labels, 0], same values
     a_pair, b_pair = pairs.T
-    return _engine.tail_products(1.0 - eta * a_pair[labels], b_pair[labels])
+    return _engine.tail_products(1.0 - eta * a_pair[labels], b_pair[labels])[1]
 
 
 def _moments_of(a, b, eta: float) -> Tuple[float, ...]:
-    """(E[P], E[P^2], E[Q], E[Q^2], E[PQ]) of one coordinate's data, exactly:
-    the one average over enumerated (P, Q) values."""
-    p_vals, q_vals = two_valued_tail_products(a, b, eta)
-    return (float(np.mean(p_vals)), float(np.mean(p_vals**2)), float(np.mean(q_vals)),
-            float(np.mean(q_vals**2)), float(np.mean(p_vals * q_vals)))
+    """(E[P], E[P^2], E[Q], E[Q^2], E[PQ]) of one coordinate's data, exactly.
+
+    P is one product for every arrangement, so only Q and Q^2 are averaged
+    over the enumeration; E[P^2] = P^2 and E[PQ] = P E[Q].
+    """
+    prod = float(np.prod(1.0 - eta * np.asarray(a, dtype=np.float64)))
+    q = two_valued_tail_products(a, b, eta)
+    e_q = float(np.mean(q))
+    return prod, prod * prod, e_q, float(np.mean(q**2)), prod * e_q
 
 
 def expected_keyup_square(alphas, betas) -> float:
@@ -262,20 +267,6 @@ class PermutationMoments:
             raise ValueError("E[Q^2] below E[Q]^2: variance would be negative")
 
 
-@dataclass(frozen=True)
-class MomentState:
-    """Per-coordinate (E[x_t], E[x_t^2]) evolved analytically."""
-
-    mean: np.ndarray
-    second: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        object.__setattr__(self, "second", np.asarray(self.second, dtype=np.float64))
-        if _variance_negative(self.second, self.mean):
-            raise ValueError("second moment below squared mean")
-
-
 def permutation_moments(curvatures, linears, eta: float) -> PermutationMoments:
     """Five exact moments of (P, Q) for one coordinate's (a_i, b_i) data.
 
@@ -297,57 +288,45 @@ def _coordinate_moments(p: Problem, eta: float) -> PermutationMoments:
     return PermutationMoments(*table.T)
 
 
-def evolve_moment_state(state: MomentState, m: PermutationMoments,
-                        eta: float) -> MomentState:
-    """One epoch of the exact mean/second-moment recursion, per coordinate."""
-    return MomentState(
-        mean=m.e_p * state.mean + eta * m.e_q,
-        second=m.e_p2 * state.second + 2.0 * eta * m.e_pq * state.mean + eta**2 * m.e_q2,
-    )
+def _expected_moments(p: Problem, eta: float, k: int, x0,
+                      single: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-coordinate (E[x_k], E[x_k^2]) in the diagonal frame, exactly.
 
-
-def _loss_from_moments(p: Problem, state: MomentState) -> float:
-    a_bar = p.mean_curvature
-    b_bar = p.mean_linear
-    return float(np.sum(0.5 * a_bar * state.second - b_bar * state.mean))
-
-
-def expected_loss_rr_analytic(p: Problem, eta: float, k: int, x0) -> float:
-    """Exact E[F(x_k)] under random reshuffling via the moment recursion.
-
-    Fresh permutations make x_t independent of the next epoch's (P, Q), so the
-    per-coordinate recursion closes over (E[x], E[x^2]).
+    One epoch maps x -> S x + eta Q with S = prod_i (1 - eta a_i) the same for
+    every permutation, so with g(s) = (1 - s^k)/(1 - s):
+      E[x_k]   = S^k y0 + eta g(S) E[Q]                     (both schemes)
+      E[x_k^2] = E[x_k]^2 + eta^2 Var[Q] * g(S)^2   under single shuffling,
+                                         * g(S^2)   under random reshuffling.
+    Single shuffling reuses one Q every epoch, so its noise adds coherently;
+    random reshuffling draws a fresh Q each epoch, so only the variances add.
     """
     _engine.check_eta(eta)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    y0 = _to_diag_frame(p, x0)
-    _engine._warn_if_large_eta(p, eta)
-    moments = _coordinate_moments(p, eta)
-    state = MomentState(mean=y0.copy(), second=y0 * y0)
-    for _ in range(k):
-        state = evolve_moment_state(state, moments, eta)
-    return _loss_from_moments(p, state)
-
-
-def expected_loss_ss_exact(p: Problem, eta: float, k: int, x0) -> float:
-    """Exact E[F(x_k)] under single shuffling: average the closed form
-    x_k = S^k y0 + eta (1-S^k)/(1-S) Q over the shared permutation, where
-    the epoch product S is the same for every permutation."""
-    _engine.check_eta(eta)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"k must be an integer >= 0, got {k!r}")
     y0 = _to_diag_frame(p, x0)
     _engine._warn_if_large_eta(p, eta)
     m = _coordinate_moments(p, eta)
-    s = np.prod(1.0 - eta * p.curvature_matrix, axis=0)
+    s = m.e_p
     g = _engine._geometric_factor(s, k)
-    state = MomentState(
-        mean=s**k * y0 + eta * g * m.e_q,
-        second=s ** (2 * k) * y0**2 + 2.0 * s**k * y0 * eta * g * m.e_q
-        + eta**2 * g**2 * m.e_q2,
-    )
-    return _loss_from_moments(p, state)
+    mean = s**k * y0 + eta * g * m.e_q
+    spread = g**2 if single else _engine._geometric_factor(s**2, k)
+    return mean, mean**2 + eta**2 * (m.e_q2 - m.e_q**2) * spread
+
+
+def _loss_from_moments(p: Problem, mean: np.ndarray, second: np.ndarray) -> float:
+    return float(np.sum(0.5 * p.mean_curvature * second - p.mean_linear * mean))
+
+
+def expected_loss_rr_analytic(p: Problem, eta: float, k: int, x0) -> float:
+    """Exact E[F(x_k)] under random reshuffling: a fresh permutation each
+    epoch, so the per-epoch noise variances add (see `_expected_moments`)."""
+    return _loss_from_moments(p, *_expected_moments(p, eta, k, x0, single=False))
+
+
+def expected_loss_ss_exact(p: Problem, eta: float, k: int, x0) -> float:
+    """Exact E[F(x_k)] under single shuffling: one permutation for every
+    epoch, so the noise adds coherently (see `_expected_moments`)."""
+    return _loss_from_moments(p, *_expected_moments(p, eta, k, x0, single=True))
 
 
 def expected_loss_ss_formula(n: int, k: int, eta: float, G: float, lam: float,

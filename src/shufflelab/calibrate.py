@@ -91,7 +91,7 @@ def measure_constants() -> Dict[str, dict]:
             for shape in ("equal", "half-zero"):
                 alphas, betas = _shape_data(shape, n, alpha)
                 abar = float(np.mean(alphas))
-                _, q = analysis.two_valued_tail_products(alphas, betas, 1.0)
+                q = analysis.two_valued_tail_products(alphas, betas, 1.0)
                 e_abs, e_sq = float(np.mean(np.abs(q))), float(np.mean(q * q))
                 keyup_hi = max(keyup_hi, e_sq / keyup_square_envelope(n, abar))
                 if n * abar <= 0.5:
@@ -134,13 +134,6 @@ def load_calibration(path: Optional[str] = None) -> Dict[str, dict]:
             return json.load(fh)
     ref = resources.files(__package__).joinpath(CALIBRATION_RESOURCE)
     return json.loads(ref.read_text())
-
-
-def calibrated_constant(name: str, path: Optional[str] = None) -> float:
-    doc = load_calibration(path)
-    if name not in doc:
-        raise KeyError(f"no calibrated constant named {name!r}")
-    return float(doc[name]["value"])
 
 
 def _main() -> int:

@@ -13,7 +13,6 @@ constructions are stored as b = -G/2 (the minus-b parameterization above).
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -181,14 +180,6 @@ def problem_from_json_dict(doc: dict) -> Problem:
         grad_bound=doc["grad_bound"],
         conjugation=doc.get("conjugation"),
     )
-
-
-def problem_to_json(p: Problem) -> str:
-    return json.dumps(p.to_json_dict())
-
-
-def problem_from_json(text: str) -> Problem:
-    return problem_from_json_dict(json.loads(text))
 
 
 def _check_construction_args(n: int, G: float, lam: float, lam_max: float):

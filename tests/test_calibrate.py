@@ -3,7 +3,6 @@ import math
 
 import pytest
 
-from shufflelab import calibrate
 from shufflelab.calibrate import (
     keyup_square_envelope,
     load_calibration,
@@ -72,18 +71,16 @@ class TestCalibrationFile:
             assert stored[name]["value"] == pytest.approx(rec["value"], rel=1e-12)
 
     def test_calibrated_constant_lookup(self):
-        assert calibrate.calibrated_constant("beta_envelope_c_hi") == pytest.approx(
-            0.5, rel=1e-12
-        )
-        with pytest.raises(KeyError):
-            calibrate.calibrated_constant("nonexistent")
+        doc = load_calibration()
+        assert doc["beta_envelope_c_hi"]["value"] == pytest.approx(0.5, rel=1e-12)
+        assert "nonexistent" not in doc
 
     def test_keyup_envelope_holds_with_stored_constant(self):
         # measured constant makes the envelope an actual ceiling on the grid
         import numpy as np
         from shufflelab import analysis
 
-        c = calibrate.calibrated_constant("keyup_sq_c")
+        c = load_calibration()["keyup_sq_c"]["value"]
         for n in (4, 8, 12):
             for alpha in (0.05, 0.25, 1.0):
                 alphas = np.full(n, alpha)

@@ -231,7 +231,7 @@ class TestConjugation:
 class TestSerialization:
     def test_round_trip(self):
         p = build_rr_construction(4, 1.0, 1.0, 2.0)
-        doc = json.loads(model.problem_to_json(p))
+        doc = json.loads(json.dumps(p.to_json_dict()))
         q = model.problem_from_json_dict(doc)
         assert q.n == p.n and q.dim == p.dim
         np.testing.assert_array_equal(q.curvature_matrix, p.curvature_matrix)
@@ -241,7 +241,7 @@ class TestSerialization:
 
     def test_round_trip_with_conjugation(self):
         p = conjugate(build_ss_construction(4, 1.0, 1.0, 2.0), rotation(0.25))
-        q = model.problem_from_json(model.problem_to_json(p))
+        q = model.problem_from_json_dict(json.loads(json.dumps(p.to_json_dict())))
         rng = np.random.default_rng(6)
         for _ in range(5):
             x = rng.uniform(-1, 1, size=2)
