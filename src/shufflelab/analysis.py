@@ -301,7 +301,7 @@ def _expected_moments(p: Problem, eta: float, k: int, x0,
     random reshuffling draws a fresh Q each epoch, so only the variances add.
     """
     _engine.check_eta(eta)
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+    if not _engine.is_integer(k) or k < 0:
         raise ValueError(f"k must be an integer >= 0, got {k!r}")
     y0 = _to_diag_frame(p, x0)
     _engine._warn_if_large_eta(p, eta)

@@ -18,16 +18,13 @@ DEFAULT_DELTA = 0.05
 
 @dataclass(frozen=True)
 class BoundSpec:
-    """A named rate curve with its constant knob."""
+    """A named rate curve at its default constants (shape only)."""
 
     theorem_id: str
-    constant: float = 1.0
 
     def __post_init__(self):
         if self.theorem_id not in THEOREM_IDS:
             raise ValueError(f"theorem_id must be one of {THEOREM_IDS}")
-        if self.constant <= 0:
-            raise ValueError("constant must be positive")
 
     def evaluate(self, n: int, k: int, G: float, lam: float, lam_max: float) -> float:
         fn = {
@@ -37,8 +34,8 @@ class BoundSpec:
             "RR-UPPER": rr_upper,
         }.get(self.theorem_id)
         if fn is None:
-            return wr_baseline(n, k, G, lam, self.constant)
-        return fn(n, k, G, lam, lam_max, self.constant)
+            return wr_baseline(n, k, G, lam)
+        return fn(n, k, G, lam, lam_max)
 
 
 def _check_positive(**kwargs):

@@ -28,34 +28,32 @@ _GRID_DESCRIPTION = (
 )
 
 
-def keyup_square_envelope(n: int, alpha_bar: float, delta: float = bounds.DEFAULT_DELTA,
-                          c: float = 1.0) -> float:
-    """c * log^2(8n/delta) * min{1/alpha_bar, n^3 alpha_bar^2}."""
+def keyup_square_envelope(n: int, alpha_bar: float) -> float:
+    """log^2(8n/delta) * min{1/alpha_bar, n^3 alpha_bar^2} at
+    delta = `bounds.DEFAULT_DELTA`."""
     if alpha_bar <= 0:
         raise ValueError("alpha_bar must be positive")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    return c * math.log(8 * n / delta) ** 2 * min(1.0 / alpha_bar, n**3 * alpha_bar**2)
+    return math.log(8 * n / bounds.DEFAULT_DELTA) ** 2 * min(1.0 / alpha_bar, n**3 * alpha_bar**2)
 
 
-def rv_abs_envelope(n: int, alpha_bar: float, c1: float = 1.0) -> float:
+def rv_abs_envelope(n: int, alpha_bar: float) -> float:
     """Branchwise ceiling for E|Q|: 2 n a for n*a <= 1/2, else
-    c1 * log(sqrt(2a) * 8 n^2) / sqrt(a)."""
+    log(sqrt(2a) * 8 n^2) / sqrt(a)."""
     if alpha_bar <= 0:
         raise ValueError("alpha_bar must be positive")
     if n * alpha_bar <= 0.5:
         return 2.0 * n * alpha_bar
-    return c1 * math.log(math.sqrt(2.0 * alpha_bar) * 8.0 * n**2) / math.sqrt(alpha_bar)
+    return math.log(math.sqrt(2.0 * alpha_bar) * 8.0 * n**2) / math.sqrt(alpha_bar)
 
 
-def rv_sq_envelope(n: int, alpha_bar: float, c2: float = 1.0, c3: float = 1.0) -> float:
-    """Branchwise ceiling for E[Q^2]: c2 log^2(8/(n a)) n^3 a^2 for n*a <= 1/2,
-    else c3 log^2(8 n^2 a^2) / a."""
+def rv_sq_envelope(n: int, alpha_bar: float) -> float:
+    """Branchwise ceiling for E[Q^2]: log^2(8/(n a)) n^3 a^2 for n*a <= 1/2,
+    else log^2(8 n^2 a^2) / a."""
     if alpha_bar <= 0:
         raise ValueError("alpha_bar must be positive")
     if n * alpha_bar <= 0.5:
-        return c2 * math.log(8.0 / (n * alpha_bar)) ** 2 * n**3 * alpha_bar**2
-    return c3 * math.log(8.0 * n**2 * alpha_bar**2) ** 2 / alpha_bar
+        return math.log(8.0 / (n * alpha_bar)) ** 2 * n**3 * alpha_bar**2
+    return math.log(8.0 * n**2 * alpha_bar**2) ** 2 / alpha_bar
 
 
 def _shape_data(shape: str, n: int, alpha: float):

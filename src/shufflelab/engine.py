@@ -60,9 +60,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import ClassVar, List, Tuple
 
 import numpy as np
 
@@ -70,6 +72,7 @@ from . import model
 from .model import Problem, objective
 
 RNG_ALGORITHM_ID = "numpy-pcg64/fisher-yates-high-to-low/v1"
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep  # as the package's code objects name it
 
 
 class Scheme(enum.Enum):
@@ -110,12 +113,21 @@ def check_eta(eta: float) -> None:
         raise ValueError("eta must be nonnegative")
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool: the one integer test."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_run(eta: float, epochs: int, seeds) -> None:
     check_eta(eta)
+    if not is_integer(epochs):
+        raise ValueError(f"epochs must be an integer, got {epochs!r}")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     for seed in seeds:
-        if not 0 <= int(seed) < 2**64:
+        if not is_integer(seed):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
@@ -126,7 +138,7 @@ class Trajectory:
     points: np.ndarray  # (k, d)
     losses: np.ndarray  # (k,)
     config: RunConfig
-    rng_algorithm_id: str = RNG_ALGORITHM_ID
+    rng_algorithm_id: ClassVar[str] = RNG_ALGORITHM_ID
 
     @property
     def final_loss(self) -> float:
@@ -405,8 +417,8 @@ def _scratch(name: str, shape, dtype=np.float64) -> np.ndarray:
     for another dtype), and a smaller request takes a prefix of it.
     Invariant: a view is valid only until the next request for its name, so
     no scratch view leaves the engine (trajectories, `final_losses`,
-    `sample_permutation`, `perm_log` entries and `tail_products`' (P, Q) are
-    all new arrays) and `_chunked_iterates` holds none across a yield.
+    `sample_permutation` and `tail_products`' (P, Q) are all new arrays) and
+    `_chunked_iterates` holds none across a yield.
     """
     size = math.prod(shape)
     buf = _SCRATCH.get(name)
@@ -476,47 +488,39 @@ def sample_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
                                 _fisher_yates_bounds(n, 1)))[0]
 
 
+def warn_caller(message: str) -> None:
+    """A RuntimeWarning at the first frame outside the package, as Python
+    3.12's `skip_file_prefixes` would place it."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
+
+
 def _warn_if_large_eta(p: Problem, eta: float):
     if eta * p.smooth_l > 1.0 + 1e-12:
-        warnings.warn(
-            f"eta*L = {eta * p.smooth_l:.4g} > 1: contraction factors leave [0, 1]",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        warn_caller(f"eta*L = {eta * p.smooth_l:.4g} > 1: contraction factors leave [0, 1]")
 
 
-def _epoch_sequence(p: Problem, scheme: Scheme, rng: np.random.Generator,
-                    fixed_perm: Optional[np.ndarray]) -> np.ndarray:
-    if scheme is Scheme.WITH_REPLACEMENT:
-        return rng.integers(0, p.n, size=p.n)
-    if scheme is Scheme.SINGLE_SHUFFLE:
-        return fixed_perm
-    return sample_permutation(p.n, rng)
-
-
-def run_sgd(p: Problem, cfg: RunConfig, perm_log: Optional[list] = None) -> Trajectory:
+def run_sgd(p: Problem, cfg: RunConfig) -> Trajectory:
     """Execute n*k explicit gradient steps, recording end-of-epoch iterates.
 
     Index selection per epoch: with-replacement draws n independent uniform
     indices, single shuffling reuses one start-of-run permutation, random
-    reshuffling draws a fresh permutation.  `perm_log`, when given, collects
-    every sampled index sequence (for scheme-separation checks).
+    reshuffling draws a fresh permutation.
     """
     model._to_diag_frame(p, cfg.x0)  # shape check only: steps run in the outer frame
     _warn_if_large_eta(p, cfg.eta)
     rng = np.random.default_rng(cfg.seed)
-    fixed_perm = None
-    if cfg.scheme is Scheme.SINGLE_SHUFFLE:
-        fixed_perm = sample_permutation(p.n, rng)
-        if perm_log is not None:
-            perm_log.append(fixed_perm.copy())
+    fixed_perm = sample_permutation(p.n, rng) if cfg.scheme is Scheme.SINGLE_SHUFFLE else None
     x = cfg.x0.copy()
     points = np.empty((cfg.epochs, p.dim))
     losses = np.empty(cfg.epochs)
     for t in range(cfg.epochs):
-        seq = _epoch_sequence(p, cfg.scheme, rng, fixed_perm)
-        if perm_log is not None and cfg.scheme is not Scheme.SINGLE_SHUFFLE:
-            perm_log.append(np.array(seq))
+        if cfg.scheme is Scheme.WITH_REPLACEMENT:
+            seq = rng.integers(0, p.n, size=p.n)
+        else:
+            seq = sample_permutation(p.n, rng) if fixed_perm is None else fixed_perm
         for i in seq:
             x = x - cfg.eta * model.component_gradient(p, int(i), x)
         points[t] = x
@@ -609,8 +613,7 @@ _CHUNK_ENTRIES = 2**14
 _ARRAY_RUNS = 32
 
 
-def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.ndarray,
-                      seeds, perm_log: Optional[list] = None):
+def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.ndarray, seeds):
     """Yield (first, ys) chunk by chunk: ys of shape (epochs, runs, d) holds
     the diagonal-frame end-of-epoch iterates of the runs seeded by
     seeds[first:first + runs], over the chunk's epochs.  A block of one run
@@ -626,8 +629,7 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
     x_t = S^t x0 + eta * (1-S^t)/(1-S) * X for all k epochs at once, so its
     chunks always hold whole runs; zero-curvature directions (S == 1) take
     the t-limit.  The other schemes scale the chunk's noise by eta once,
-    then apply their maps in order over the (runs, d) block.  `perm_log`
-    collects the index sequences of a single run.
+    then apply their maps in order over the (runs, d) block.
     """
     n, d = p.n, p.dim
     single = scheme is Scheme.SINGLE_SHUFFLE
@@ -662,8 +664,6 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
                 draws = np.stack([_draws(scheme, n, drawn, rng, bounds) for rng in rngs], axis=1)
             seqs = draws if width == n else _fisher_yates(
                 draws.reshape(-1, width)).reshape(draws.shape[:-1] + (n,))
-            if perm_log is not None:
-                perm_log.extend(np.array(seq) for seq in seqs)
             # `gathered` is scratch; `np.take` writes `out` directly only
             # under mode="clip", and every index is in range.
             gathered = _scratch("gathered", seqs.shape + (2 * d,))
@@ -681,8 +681,7 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
             yield first, ys
 
 
-def run_sgd_closed_form(p: Problem, cfg: RunConfig,
-                        perm_log: Optional[list] = None) -> Trajectory:
+def run_sgd_closed_form(p: Problem, cfg: RunConfig) -> Trajectory:
     """Trajectory via per-epoch affine maps instead of explicit steps.
 
     Consumes the generator exactly like `run_sgd`, so the two agree per seed
@@ -696,7 +695,7 @@ def run_sgd_closed_form(p: Problem, cfg: RunConfig,
     y0 = model._to_diag_frame(p, cfg.x0)
     _warn_if_large_eta(p, cfg.eta)
     chunks = [ys for _, ys in _chunked_iterates(p, cfg.scheme, cfg.eta, cfg.epochs, y0,
-                                                 [cfg.seed], perm_log)]
+                                                 [cfg.seed])]
     ys = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     points = ys if p.conjugation is None else ys @ p.conjugation.T
     return Trajectory(points=points, losses=model.diagonal_objective(p, ys), config=cfg)

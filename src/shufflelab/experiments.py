@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -51,7 +50,13 @@ class SweepPlan:
     seed_base: int = 0
 
     def __post_init__(self):
+        for k in self.k_values:
+            if not engine.is_integer(k):
+                raise ValueError(f"k_values must be integers, got {k!r}")
+        if not engine.is_integer(self.seeds):
+            raise ValueError(f"seeds must be an integer, got {self.seeds!r}")
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
+        object.__setattr__(self, "seeds", int(self.seeds))
         if self.construction not in ("ss", "rr"):
             raise ValueError("construction must be 'ss' or 'rr'")
         if not self.k_values or list(self.k_values) != sorted(set(self.k_values)):
@@ -272,7 +277,7 @@ def run_sweep(plan: SweepPlan, jobs: Optional[int] = None
     report = model.validate_assumptions(p, x0, max(plan.k_values))
     if not report.all_passed:
         failed = ", ".join(c.name for c in report.failed())
-        warnings.warn(f"plan violates assumption clauses: {failed}", RuntimeWarning)
+        engine.warn_caller(f"plan violates assumption clauses: {failed}")
     tasks = [(scheme, k) for scheme in SCHEME_ORDER for k in plan.k_values]
     if jobs is None:
         jobs = os.cpu_count() or 1

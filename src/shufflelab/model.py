@@ -23,8 +23,8 @@ ORTHOGONALITY_TOL = 1e-12
 INVARIANT_TOL = 1e-9
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
     arr.flags.writeable = False
     return arr
 
@@ -160,8 +160,8 @@ class Problem:
         return doc
 
 
-def _is_orthogonal(o: np.ndarray, tol: float = ORTHOGONALITY_TOL) -> bool:
-    return bool(np.max(np.abs(o.T @ o - np.eye(o.shape[0]))) <= tol)
+def _is_orthogonal(o: np.ndarray) -> bool:
+    return bool(np.max(np.abs(o.T @ o - np.eye(o.shape[0]))) <= ORTHOGONALITY_TOL)
 
 
 def problem_from_json_dict(doc: dict) -> Problem:

@@ -134,8 +134,7 @@ def lemmas_suite() -> List[CheckResult]:
 # closed form vs explicit steps
 
 
-def random_problem(rng: np.random.Generator, max_n: int = 8, max_d: int = 3,
-                   allow_conjugation: bool = True):
+def random_problem(rng: np.random.Generator, max_n: int = 8, max_d: int = 3):
     """A small random commuting-quadratic instance for equivalence suites.
 
     Curvatures are 0 or at least 0.2 so epoch contractions stay safely away
@@ -154,7 +153,7 @@ def random_problem(rng: np.random.Generator, max_n: int = 8, max_d: int = 3,
         lam_max=float(np.max(mean_curv)), smooth_l=float(np.max(curv)),
         grad_bound=1.0,
     )
-    if allow_conjugation and d > 1 and rng.random() < 0.3:
+    if d > 1 and rng.random() < 0.3:
         p = model.conjugate(p, random_rotation(d, rng))
     return p
 
@@ -212,8 +211,8 @@ def _check_seeding() -> CheckResult:
     )
 
 
-def closed_form_suite(cases: int = 1000, seed: int = 11) -> List[CheckResult]:
-    rng = np.random.default_rng(seed)
+def closed_form_suite() -> List[CheckResult]:
+    cases, rng = 1000, np.random.default_rng(11)
     worst = 0.0
     worst_loss = 0.0
     for _ in range(cases):
@@ -243,8 +242,8 @@ def closed_form_suite(cases: int = 1000, seed: int = 11) -> List[CheckResult]:
 # conjugation equivariance
 
 
-def conjugation_suite(rotations: int = 100, seed: int = 5) -> List[CheckResult]:
-    rng = np.random.default_rng(seed)
+def conjugation_suite() -> List[CheckResult]:
+    rotations, rng = 100, np.random.default_rng(5)
     n, k = 6, 3
     worst_pt = 0.0
     worst_loss = 0.0

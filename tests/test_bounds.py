@@ -116,10 +116,6 @@ class TestBoundSpec:
         with pytest.raises(ValueError):
             BoundSpec("SS-MIDDLE")
 
-    def test_rejects_nonpositive_constant(self):
-        with pytest.raises(ValueError):
-            BoundSpec("SS-LOWER", constant=0.0)
-
 
 @given(
     n=st.integers(min_value=2, max_value=10**4),

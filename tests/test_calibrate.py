@@ -20,14 +20,9 @@ class TestEnvelopeShapes:
         assert keyup_square_envelope(8, 0.01) == pytest.approx(logsq * 8**3 * 1e-4)
         assert keyup_square_envelope(8, 0.9) == pytest.approx(logsq / 0.9)
 
-    def test_keyup_envelope_scales_with_c(self):
-        assert keyup_square_envelope(8, 0.1, c=2.0) == pytest.approx(
-            2 * keyup_square_envelope(8, 0.1)
-        )
-
     def test_rv_abs_branch_structure(self):
         assert rv_abs_envelope(10, 0.01) == pytest.approx(0.2)  # 2 n a
-        big = rv_abs_envelope(10, 0.5, c1=1.0)
+        big = rv_abs_envelope(10, 0.5)
         assert big == pytest.approx(math.log(math.sqrt(1.0) * 800) / math.sqrt(0.5))
 
     def test_rv_sq_branch_structure(self):
@@ -39,8 +34,6 @@ class TestEnvelopeShapes:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             keyup_square_envelope(8, 0.0)
-        with pytest.raises(ValueError):
-            keyup_square_envelope(8, 0.1, delta=0.0)
         with pytest.raises(ValueError):
             rv_abs_envelope(8, -0.1)
 

@@ -89,12 +89,12 @@ class TestRunSgd:
         # eta=0.5, x0=0, identity permutation: 0 -> 0.5 -> -0.25
         p = two_point_problem()
         cfg = RunConfig(scheme=Scheme.SINGLE_SHUFFLE, eta=0.5, epochs=1, x0=[0.0], seed=0)
-        perms = []
-        traj = run_sgd(p, cfg, perm_log=perms)
-        contraction, noise = sequence_map(p, perms[0], 0.5)
+        traj = run_sgd(p, cfg)
+        perm = sample_permutation(2, np.random.default_rng(0))  # the run's one permutation
+        contraction, noise = sequence_map(p, perm, 0.5)
         expected = contraction[0] * 0.0 + 0.5 * noise[0]
         assert traj.points[0][0] == pytest.approx(expected, rel=1e-15)
-        if perms[0].tolist() == [0, 1]:
+        if perm.tolist() == [0, 1]:
             assert traj.points[0][0] == pytest.approx(-0.25)
 
     def test_zero_linear_pure_contraction_exact(self):
@@ -141,14 +141,30 @@ class TestRunSgd:
         with pytest.warns(RuntimeWarning):
             run_sgd(p, cfg)
 
-    def test_scheme_separation_via_perm_log(self):
-        p = model.build_ss_construction(6, 1.0, 1.0, 2.0)
-        eta = recommended_eta(6, 4, 1.0)
-        for scheme, expected in ((Scheme.SINGLE_SHUFFLE, 1), (Scheme.RANDOM_RESHUFFLE, 4)):
-            perms = []
-            run_sgd(p, RunConfig(scheme=scheme, eta=eta, epochs=4, x0=[1.0, 0.0], seed=2),
-                    perm_log=perms)
-            assert len(perms) == expected
+    def test_scheme_separation_against_explicit_loop(self):
+        # Distinct rows, so the iterates pin the index order (rows of a
+        # two-type construction are interchangeable within a type): single
+        # shuffling reuses its one permutation, reshuffling draws one per epoch.
+        rng = np.random.default_rng(2)
+        p = random_problem(rng)
+        rows = np.hstack([p.curvature_matrix, p.linear_matrix])
+        assert len(np.unique(rows, axis=0)) == p.n >= 4
+        eta, epochs, x0 = 0.5 / p.smooth_l, 4, rng.uniform(-1.0, 1.0, p.dim)
+        points = {}
+        for scheme in (Scheme.SINGLE_SHUFFLE, Scheme.RANDOM_RESHUFFLE):
+            stream = np.random.default_rng(2)
+            perm = sample_permutation(p.n, stream)
+            x, points[scheme] = x0.copy(), []
+            for t in range(epochs):
+                if t > 0 and scheme is Scheme.RANDOM_RESHUFFLE:
+                    perm = sample_permutation(p.n, stream)
+                for i in perm:
+                    x = x - eta * model.component_gradient(p, int(i), x)
+                points[scheme].append(x)
+            traj = run_sgd(p, RunConfig(scheme=scheme, eta=eta, epochs=epochs, x0=x0, seed=2))
+            assert np.array_equal(traj.points, points[scheme])
+        ss, rr = (np.array(points[s]) for s in (Scheme.SINGLE_SHUFFLE, Scheme.RANDOM_RESHUFFLE))
+        assert np.array_equal(ss[0], rr[0]) and not np.array_equal(ss[1:], rr[1:])
 
 
 class TestEpochMap:
@@ -208,9 +224,9 @@ class TestClosedForm:
     def test_single_shuffle_two_epoch_unroll(self):
         p = two_point_problem()
         cfg = RunConfig(scheme=Scheme.SINGLE_SHUFFLE, eta=0.25, epochs=2, x0=[2.0], seed=9)
-        perms = []
-        traj = run_sgd_closed_form(p, cfg, perm_log=perms)
-        contraction, noise = sequence_map(p, perms[0], 0.25)
+        traj = run_sgd_closed_form(p, cfg)
+        perm = sample_permutation(2, np.random.default_rng(9))  # the run's one permutation
+        contraction, noise = sequence_map(p, perm, 0.25)
         s, x = contraction[0], noise[0]
         assert traj.points[1][0] == pytest.approx(s**2 * 2.0 + 0.25 * (1 + s) * x, rel=1e-12)
 
@@ -270,28 +286,26 @@ def swap_loop_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def per_epoch_closed_form(p: model.Problem, cfg: RunConfig):
     """Reference closed form that draws and applies one epoch map at a time,
-    single shuffling included: (points, losses, perm_log)."""
+    single shuffling included: (points, losses)."""
     rng = np.random.default_rng(cfg.seed)
     y = model._to_diag_frame(p, cfg.x0)
-    perms, ys = [], []
+    ys = []
     if cfg.scheme is Scheme.SINGLE_SHUFFLE:
-        perms.append(swap_loop_permutation(p.n, rng))
+        fixed = swap_loop_permutation(p.n, rng)
     for _ in range(cfg.epochs):
         if cfg.scheme is Scheme.WITH_REPLACEMENT:
             seq = rng.integers(0, p.n, size=p.n)
         elif cfg.scheme is Scheme.RANDOM_RESHUFFLE:
             seq = swap_loop_permutation(p.n, rng)
         else:
-            seq = perms[0]
-        if cfg.scheme is not Scheme.SINGLE_SHUFFLE:
-            perms.append(seq)
+            seq = fixed
         contraction, noise = sequence_map(p, seq, cfg.eta)
         y = contraction * y + cfg.eta * noise
         ys.append(y)
     points = np.array(ys)
     if p.conjugation is not None:
         points = points @ p.conjugation.T
-    return points, np.array([model.objective(p, x) for x in points]), perms
+    return points, np.array([model.objective(p, x) for x in points])
 
 
 class TestChunkedStream:
@@ -346,12 +360,8 @@ class TestChunkedRuns:
 
     @staticmethod
     def assert_matches_reference(p, cfg):
-        log = []
-        traj = run_sgd_closed_form(p, cfg, perm_log=log)
-        points, losses, perms = per_epoch_closed_form(p, cfg)
-        assert len(log) == len(perms)
-        for got, want in zip(log, perms):
-            np.testing.assert_array_equal(got, want)
+        traj = run_sgd_closed_form(p, cfg)
+        points, losses = per_epoch_closed_form(p, cfg)
         np.testing.assert_allclose(traj.points, points, rtol=1e-12, atol=0)
         np.testing.assert_allclose(traj.losses, losses, rtol=1e-12, atol=0)
         assert traj.points.flags.c_contiguous  # the layout downstream kernels see
@@ -404,7 +414,7 @@ class TestChunkedRuns:
             eta = plan.eta_for(k)
         assert k > 2 * (engine._CHUNK_ENTRIES // p.n)
         cfg = RunConfig(scheme=scheme, eta=eta, epochs=k, x0=x0, seed=2021)
-        points, _, _ = per_epoch_closed_form(p, cfg)
+        points, _ = per_epoch_closed_form(p, cfg)
         np.testing.assert_array_equal(run_sgd_closed_form(p, cfg).points, points)
 
 
@@ -457,7 +467,7 @@ class TestFinalLosses:
                 got = engine.final_losses(p, scheme, 1.0, k, [1.0, 0.5, -0.5], seeds)
                 runs = [run_sgd_closed_form(p, RunConfig(scheme, 1.0, k, [1.0, 0.5, -0.5], s))
                         for s in seeds]
-                reference, _, _ = per_epoch_closed_form(p, runs[0].config)
+                reference, _ = per_epoch_closed_form(p, runs[0].config)
             assert np.array_equal(got, [r.final_loss for r in runs], equal_nan=True)
             assert not np.isfinite(got).any()
             if scheme is not Scheme.SINGLE_SHUFFLE:  # the schemes that take the recurrence
@@ -526,6 +536,82 @@ class TestFinalLosses:
                 RunConfig(Scheme.RANDOM_RESHUFFLE, eta, k, [0.0], s)
 
 
+def _rr_config(**fields):
+    return dataclasses.replace(RunConfig(Scheme.RANDOM_RESHUFFLE, 0.1, 2, [0.0], 1), **fields)
+
+
+def _final_losses(k, seeds):
+    return engine.final_losses(two_point_problem(), Scheme.RANDOM_RESHUFFLE, 0.1, k, [0.0], seeds)
+
+
+def _desk_plan(**fields):
+    return dataclasses.replace(experiments.desk_plan("ss"), **fields)
+
+
+class TestIntegerInputs:
+    """Counts and seeds must be Python or numpy integers, not floats,
+    strings or bools; the error names the value."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: _rr_config(epochs=2.5), "epochs must be an integer, got 2.5"),
+        (lambda: _rr_config(epochs=True), "epochs must be an integer, got True"),
+        (lambda: _rr_config(seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: _rr_config(seed=False), "seed must be an integer, got False"),
+        (lambda: _final_losses(2.5, [0]), "epochs must be an integer, got 2.5"),
+        (lambda: _final_losses(2, [0, 1.5]), "seed must be an integer, got 1.5"),
+        (lambda: _desk_plan(k_values=(2.7, 5)), "k_values must be integers, got 2.7"),
+        (lambda: _desk_plan(k_values=("10",)), "k_values must be integers, got '10'"),
+        (lambda: _desk_plan(seeds=2.5), "seeds must be an integer, got 2.5"),
+    ], ids=["config-epochs-float", "config-epochs-bool", "config-seed-float",
+            "config-seed-bool", "final_losses-k-float", "final_losses-seed-float",
+            "plan-k_values-float", "plan-k_values-str", "plan-seeds-float"])
+    def test_non_integers_rejected(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        plan = _desk_plan(k_values=np.array([10, 20]), seeds=np.int64(3))
+        assert plan.k_values == (10, 20) and plan.seeds == 3
+        assert all(type(v) is int for v in (*plan.k_values, plan.seeds))
+        cfg = _rr_config(epochs=np.int64(2), seed=np.uint64(2**64 - 1))
+        want = _final_losses(2, [2**64 - 1])[0]
+        assert run_sgd_closed_form(two_point_problem(), cfg).final_loss == want
+
+
+class TestWarningLocation:
+    """Warnings name the caller's line, however deep in the package they
+    are raised."""
+
+    @staticmethod
+    def large_eta_problem():
+        return model.build_rr_construction(6, 1.0, 1.0, 4.0)  # eta = 0.5 gives eta*L = 2
+
+    CALLS = {
+        "run_sgd": lambda p: run_sgd(p, RunConfig(Scheme.RANDOM_RESHUFFLE, 0.5, 2,
+                                                  np.zeros(3), 1)),
+        "run_sgd_closed_form": lambda p: run_sgd_closed_form(
+            p, RunConfig(Scheme.RANDOM_RESHUFFLE, 0.5, 2, np.zeros(3), 1)),
+        "final_losses": lambda p: engine.final_losses(p, Scheme.SINGLE_SHUFFLE, 0.5, 2,
+                                                      np.zeros(3), [1, 2]),
+        "mc_expected_loss": lambda p: analysis.mc_expected_loss(
+            p, Scheme.RANDOM_RESHUFFLE, 0.5, 2, np.zeros(3), 2, seed=1),
+        "expected_loss_rr_analytic": lambda p: analysis.expected_loss_rr_analytic(
+            p, 0.5, 2, np.zeros(3)),
+        "expected_loss_ss_exact": lambda p: analysis.expected_loss_ss_exact(
+            p, 0.5, 2, np.zeros(3)),
+        # k = 1 violates an assumption clause, and the recommended eta has eta*L > 1
+        "run_sweep": lambda p: experiments.run_sweep(experiments.SweepPlan(
+            construction="ss", n=8, G=1.0, lam=1.0, lam_max=4.0, k_values=(1,), seeds=1),
+            jobs=1),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_warning_names_the_test_file(self, name):
+        with pytest.warns(RuntimeWarning) as record:
+            self.CALLS[name](self.large_eta_problem())
+        assert {w.filename for w in record} == {__file__}
+
+
 class TestTailProducts:
     def test_batch_axes_match_row_by_row(self):
         rng = np.random.default_rng(17)
@@ -568,12 +654,11 @@ class TestScratch:
     def test_results_keep_their_values(self):
         p, x0 = model.build_rr_construction(100, 1.0, 1.0, 8.0), [1.0, 0.5, -0.5]
         eta, rng = recommended_eta(100, 400, 1.0), np.random.default_rng(1)
-        log = []
-        traj = run_sgd_closed_form(p, RunConfig(Scheme.RANDOM_RESHUFFLE, eta, 400, x0, 3), log)
+        traj = run_sgd_closed_form(p, RunConfig(Scheme.RANDOM_RESHUFFLE, eta, 400, x0, 3))
         losses = engine.final_losses(p, Scheme.RANDOM_RESHUFFLE, eta, 20, x0, range(30))
         perm = sample_permutation(100, rng)
         pq = engine.tail_products(rng.uniform(size=(4, 3, 50)), rng.normal(size=(4, 3, 50)))
-        results = [traj.points, traj.losses, losses, perm, *log, *pq]
+        results = [traj.points, traj.losses, losses, perm, *pq]
         copies = [r.copy() for r in results]
         # later calls of other shapes: paper-scale runs, Monte Carlo blocks
         paper, paper_x0 = experiments.resolve_problem(experiments.paper_plan("ss"))
