@@ -322,7 +322,7 @@ def _cmd_reproduce_fig1(args, parser) -> int:
     if args.scale == "paper":
         print(
             "warning: paper scale runs 3 schemes x 12 k-values x 100 seeds on "
-            "n=500, about 60 s of CPU (32 s wall at --jobs 2 on a 2-vCPU Xeon)",
+            "n=500, about 40 s of CPU (about 20 s wall at --jobs 2 on a 2-vCPU Xeon)",
             file=sys.stderr,
         )
     for plan in plans:

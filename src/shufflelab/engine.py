@@ -8,12 +8,12 @@ index array of length n per epoch.  The identifier below names that
 consumption scheme and is echoed in every trajectory so outputs can be traced
 to the generator contract.
 
-`run_sgd_closed_form` takes the draws of c epochs at once: one `integers`
-call over the c epochs' bounds laid end to end (or over n*c uniform
-indices).  `Generator.integers` fills its output element by element from
-the one PCG64 stream, so that call yields exactly the draws of c per-epoch
-calls and leaves the generator in the same state; chunking changes the
-number of calls, never the values drawn.
+`run_sgd_closed_form` takes the draws of c epochs at once, as one
+`integers` call over the c epochs' bounds laid end to end (or over n*c
+uniform indices) would.  `Generator.integers` fills its output element by
+element from the one PCG64 stream, so that call yields exactly the draws of
+c per-epoch calls and leaves the generator in the same state; chunks and
+Fisher-Yates passes change the number of calls, never the values drawn.
 
 `final_losses` runs a batch of runs through the same chunks.  Every run
 makes exactly the draws of its own stream, seeded with its own seed; the
@@ -29,30 +29,33 @@ a Monte Carlo block) in numpy.  The values are the same either way: swaps
 move integers, and a Python float rounds the multiply and then the add as
 numpy does, with no fused multiply-add in either.
 
-Seeding and a block's draws are numpy's, computed in bulk.  Numpy's
-`SeedSequence` is a fixed integer hash of the seed's 32-bit words, so
-`_seed_states` evaluates it for many rows at once: `derive_seeds` takes the
-first uint64 word for every spawn key of a sweep cell or Monte Carlo
-estimate in one pass.  PCG64 and numpy's bounded draw are fixed integer maps
-too, so a block of many runs makes no generator: from each run's
+The closed form makes numpy's draws without numpy's `Generator`.  PCG64
+and numpy's bounded draw (Lemire, `_lemire`) are fixed integer maps: a draw
+takes the stream's next 32-bit word, the low half of a PCG64 output first,
+and keeps the high half for the next draw.  A lone run, or a block of fewer
+than `_ARRAY_RUNS` runs, reads each run's outputs through its own
+`np.random.PCG64(seed).random_raw` (`_Stream`), carrying an unused high half
+from one call to the next as the generator's `has_uint32` does.  A block of
+at least `_ARRAY_RUNS` runs makes no bit generator either: from each run's
 `SeedSequence(seed).generate_state(4, np.uint64)` words, `_pcg64_outputs`
-computes the run's PCG64 outputs for every run at once, and `_block_draws`
-turns their 32-bit words into the draws `Generator.integers` would return,
-as uint64 array expressions.  The rare run where numpy's bounded draw
-rejects a word is drawn again through `np.random.default_rng(seed)`.  A
-block of fewer than `_ARRAY_RUNS` runs, whose runs are long, keeps one
-`np.random.default_rng(seed)` per run and `Generator.integers`, and so does
-a lone run, which may span several chunks; so do `run_sgd` and
-`sample_permutation`: the explicit-step reference stays on numpy's own
-generator.  The tests and `verify` pin the array route to numpy's
+computes the PCG64 outputs of every run at once and `_block_draws` turns
+them into draws as uint64 array expressions.  Numpy's `SeedSequence` is a
+fixed integer hash of the seed's 32-bit words, so `_seed_states` evaluates
+it for many rows at once, and `derive_seeds` takes the first uint64 word
+for every spawn key of a sweep cell or Monte Carlo estimate in one pass.
+numpy's own generator remains in three places: `run_sgd` and
+`sample_permutation`, the explicit-step reference; and the rare call in
+which numpy's bounded draw rejects a word (chance below b / 2**32 per
+draw) and draws from the next one, which numpy's generator makes again from
+the same state.  The tests and `verify` pin both routes to numpy's
 `SeedSequence`, `random_raw` and `integers` word for word.
 
 The closed form takes its large working arrays from one grow-only scratch
-per process (`_scratch`): the vectorized Fisher-Yates pass's index and work
-arrays, the gathered `[1 - eta*A | B]` rows and `tail_products`' suffix
-products.  It outlives every run, because a run freeing them hands their
-pages back to the system and the next run faults them in again.  No scratch
-view leaves the engine.
+per process (`_scratch`): a stream's words and draws, the vectorized
+Fisher-Yates pass's index and work arrays, the gathered `[1 - eta*A | B]`
+rows and `tail_products`' suffix products.  It outlives every run, because
+a run freeing them hands their pages back to the system and the next run
+faults them in again.  No scratch view leaves the engine.
 """
 
 from __future__ import annotations
@@ -367,29 +370,50 @@ def _pcg64_outputs(states: np.ndarray, count: int) -> np.ndarray:
     return value >> rot | value << (64 - rot & 63)
 
 
+def _halves(words: np.ndarray) -> np.ndarray:
+    """The 32-bit halves of the uint64 `words` along their last axis, low
+    half first, as numpy's PCG64 hands them out: a view on a little-endian
+    machine, a byte-swapped copy elsewhere."""
+    return words.astype("<u8", copy=False).view("<u4")
+
+
+def _lemire(words: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """numpy's bounded draw for bounds below 2**32 (Lemire, arXiv 1805.10941),
+    in place: each 32-bit word w of the uint64 array `words` becomes
+    w*b >> 32 for its bound b (`bounds`, integers, broadcasts against
+    `words`).  numpy rejects w where (w*b mod 2**32) < 2**32 mod b and draws
+    from the next word instead, which shifts every later draw of the stream;
+    returns, for each row of `words` (all axes but the last), whether it
+    holds such a word."""
+    bounds = bounds.astype(np.uint64)
+    thresholds = 2**32 % bounds
+    np.multiply(words, bounds, out=words)
+    low = _halves(words)[..., 0::2]
+    # Thresholds are below their bounds, so the minimum rules most calls out.
+    rejected = ((low < thresholds).any(axis=-1) if low.min() < thresholds.max()
+                else np.zeros(words.shape[:-1], dtype=bool))
+    np.right_shift(words, 32, out=words)
+    return rejected
+
+
 def _block_draws(seeds: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """`np.random.default_rng(seed).integers(0, bounds)` for each uint64 seed
     of a block, shape (runs,) + bounds.shape, with no generator per run.
 
-    numpy's bounded draw for bounds below 2**32 (Lemire, arXiv 1805.10941)
-    takes the run's next 32-bit word, the low half of a PCG64 output first,
-    and returns w*b >> 32, unless (w*b mod 2**32) < 2**32 mod b: then it
-    rejects w and draws from the next word, which shifts every later draw of
-    the run.  All draws are first computed as if none rejects, and a run
-    where one does (chance below b / 2**32 per draw) is drawn again through
-    numpy's own generator.  A block's streams are never drawn from again, so
-    an odd word count's unused high half is dropped.  numpy takes no word
-    for a bound of 1; the engine's bounds are at least 2 (a `Problem` has
-    n > 1), and bounds that are all 1 give zeros either way.
+    numpy's bounded draw takes the run's next 32-bit word, the low half of a
+    PCG64 output first (`_lemire`).  All draws are first computed as if no
+    word is rejected, and a run where one is (chance below b / 2**32 per
+    draw) is drawn again through numpy's own generator.  A block's streams
+    are never drawn from again, so an odd word count's unused high half is
+    dropped.  numpy takes no word for a bound of 1; the engine's bounds are
+    at least 2 (a `Problem` has n > 1), and bounds that are all 1 give zeros
+    either way.
     """
     size = bounds.size
     raw = _pcg64_outputs(_seed_states(seeds[:, None], [], 4), (size + 1) // 2)
-    words = np.empty((len(seeds), 2 * raw.shape[1]), dtype=np.uint64)
-    words[:, 0::2], words[:, 1::2] = raw & _MASK32, raw >> 32
-    flat = bounds.reshape(-1)
-    scaled = words[:, :size] * flat.astype(np.uint64)
-    draws = (scaled >> 32).astype(np.int64).reshape((len(seeds),) + bounds.shape)
-    rejected = ((scaled & _MASK32) < (2**32 % flat).astype(np.uint64)).any(axis=1)
+    words = _halves(raw)[:, :size].astype(np.uint64)
+    rejected = _lemire(words, bounds.reshape(-1))
+    draws = words.view(np.int64).reshape((len(seeds),) + bounds.shape)
     for r in np.flatnonzero(rejected).tolist():
         draws[r] = np.random.default_rng(int(seeds[r])).integers(0, bounds)
     return draws
@@ -433,15 +457,51 @@ def _fisher_yates_bounds(n: int, epochs: int) -> np.ndarray:
     return np.tile(np.arange(n, 1, -1), (epochs, 1))
 
 
-def _draws(scheme: "Scheme", n: int, epochs: int, rng: np.random.Generator,
-           bounds: np.ndarray) -> np.ndarray:
-    """One run's draws for `epochs` epochs from one generator call, one row
-    per epoch: n uniform indices (with replacement) or the Fisher-Yates
-    draws below the first `epochs` rows of `bounds`, a
-    `_fisher_yates_bounds` array (the shuffling schemes)."""
-    if scheme is Scheme.WITH_REPLACEMENT:
-        return rng.integers(0, n, size=(epochs, n))
-    return rng.integers(0, bounds[:epochs])
+class _Stream:
+    """One run's numpy PCG64 stream, read as `Generator.integers` reads it.
+
+    numpy's bounded draw takes one 32-bit word per draw, the low half of a
+    PCG64 output first, and keeps the high half for the next draw (the bit
+    generator's `has_uint32`).  A stream reads whole outputs through
+    `random_raw` and turns them into draws with `_lemire`, carrying an
+    unused high half from one call to the next itself, so call after call
+    its draws are the generator's.
+    """
+
+    def __init__(self, seed: int):
+        self.bit_generator = np.random.PCG64(seed)
+        self.half = None  # the high half of the last output read, not yet drawn
+
+    def integers(self, bounds: np.ndarray, rows: int) -> np.ndarray:
+        """`Generator.integers(0, bounds)` for `rows` rows of the integer
+        row `bounds`, shape (rows, len(bounds)), as an int64 view of the
+        engine's scratch (see `_scratch`).
+
+        In the rare call where numpy rejects a word (chance below
+        b / 2**32 per draw), the stream steps back over the outputs it read
+        and numpy's own generator makes the call from the same state.
+        """
+        size, half = rows * len(bounds), self.half
+        carried = int(half is not None)
+        count = (size - carried + 1) // 2
+        raw = self.bit_generator.random_raw(count)
+        flat = _scratch("stream_words", (carried + 2 * count,), np.uint64)
+        if carried:
+            flat[0] = half
+        flat[carried:] = _halves(raw)
+        self.half = int(flat[size]) if len(flat) > size else None
+        words = flat[:size].reshape(rows, len(bounds))
+        draws = words.view(np.int64)
+        if _lemire(words, bounds).any():
+            self.bit_generator.advance(-count)
+            state = self.bit_generator.state
+            state["has_uint32"], state["uinteger"] = carried, half or 0
+            self.bit_generator.state = state
+            draws[:] = np.random.Generator(self.bit_generator).integers(
+                0, np.tile(bounds, (rows, 1)))
+            state = self.bit_generator.state
+            self.half = state["uinteger"] if state["has_uint32"] else None
+        return draws
 
 
 def _fisher_yates(draws: np.ndarray) -> np.ndarray:
@@ -484,8 +544,7 @@ def sample_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
     one-row case of the chunked sampler, consuming n-1 draws (none at n=1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _fisher_yates(_draws(Scheme.RANDOM_RESHUFFLE, n, 1, rng,
-                                _fisher_yates_bounds(n, 1)))[0]
+    return _fisher_yates(rng.integers(0, _fisher_yates_bounds(n, 1)))[0]
 
 
 def warn_caller(message: str) -> None:
@@ -563,10 +622,13 @@ def _geometric_factor(s: np.ndarray, t) -> np.ndarray:
 
     t is an epoch count or an integer array of them that broadcasts
     against s."""
-    s, t = np.broadcast_arrays(np.asarray(s, dtype=np.float64), np.asarray(t))
-    out = t.astype(np.float64)
-    ok = s != 1.0
-    out[ok] = (1.0 - s[ok] ** t[ok]) / (1.0 - s[ok])
+    s = np.asarray(s, dtype=np.float64)
+    out = np.empty(np.broadcast_shapes(s.shape, np.shape(t)))
+    out[...] = t
+    # The exponent is `out`, t as a full array: under a broadcast scalar
+    # exponent numpy's power takes shortcuts (x*x for 2) that can round
+    # differently from its pow loop.
+    np.divide(1.0 - s**out, 1.0 - s, out=out, where=s != 1.0)
     return out
 
 
@@ -604,13 +666,24 @@ def _apply_maps(contraction: np.ndarray, noise: np.ndarray, y0: np.ndarray) -> n
 _CHUNK_ENTRIES = 2**14
 
 # Runs in a block from which its draws are computed as array expressions
-# (`_block_draws`) instead of by one numpy generator per run.  The array
-# route costs ~50 ns per draw plus ~0.2 ms per block, a generator ~20 us per
-# run plus ~3-10 ns per draw.  Timed per run at the most draws a block of
-# that many runs holds (numpy 2.4, one core): 8 runs x 2048 draws 88 against
-# 26 us, 16 x 1024 45 against 23 us, 32 x 512 20 against 20 us, 64 x 256 11
-# against 19 us, 327 x 50 2 against 16 us.
+# (`_block_draws`) instead of one stream per run (`_Stream`).  The array
+# route costs ~50 ns per draw plus ~0.2 ms per block, a stream ~20 us per
+# run plus ~3 ns per draw.  Timed per run at the most Fisher-Yates draws a
+# block of that many runs holds (numpy 2.4, one core), array against
+# streams: 8 runs x 1920 draws 49 against 36 us, 16 x 960 36 against 27 us,
+# 32 x 480 17 against 24 us, 64 x 240 10 against 27 us, 327 x 45 2 against
+# 23 us.
 _ARRAY_RUNS = 32
+
+# Epochs a reshuffling run draws and permutes per Fisher-Yates pass when its
+# chunks hold fewer (n > 128), in whole chunks and at most `_PASS_CHUNKS` of
+# them, which bounds the pass's index arrays by the chunk size.  A pass pays
+# numpy's per-step cost once for all its rows.  Timed ns per entry at
+# n = 500 (numpy 2.4, one core): 20-21 at 32 rows (one chunk) and 13-16 at
+# 128; a prototype's 256 rows gained little more.  At n = 100 a chunk's 163
+# rows take 11-13.
+_PASS_EPOCHS = 128
+_PASS_CHUNKS = 4
 
 
 def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.ndarray, seeds):
@@ -622,9 +695,10 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
     A chunk holds whole runs when k*n fits in `_CHUNK_ENTRIES`, else about
     `_CHUNK_ENTRIES // n` epochs of one run; a run's chunks come in epoch
     order.  Each run makes its own stream's draws, a block of at least
-    `_ARRAY_RUNS` runs as array expressions (see the module docstring);
-    the chunk's rows then share one Fisher-Yates pass, one gather from the
-    `[1 - eta*A | B]` table and one `tail_products` call.
+    `_ARRAY_RUNS` runs as array expressions (see the module docstring).  A
+    pass draws one or more chunks' epochs (see `_PASS_EPOCHS`) and permutes
+    their rows in one Fisher-Yates pass; each chunk then takes one gather
+    from the `[1 - eta*A | B]` table and one `tail_products` call.
     Single shuffling draws one permutation per run and takes
     x_t = S^t x0 + eta * (1-S^t)/(1-S) * X for all k epochs at once, so its
     chunks always hold whole runs; zero-curvature directions (S == 1) take
@@ -633,62 +707,64 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
     """
     n, d = p.n, p.dim
     single = scheme is Scheme.SINGLE_SHUFFLE
-    width = n if scheme is Scheme.WITH_REPLACEMENT else n - 1  # draws per epoch
+    uniform = scheme is Scheme.WITH_REPLACEMENT
     epochs = k if single else min(k, max(1, _CHUNK_ENTRIES // n))
     runs = max(1, _CHUNK_ENTRIES // (epochs * n))
+    # Only a run alone in its block spans several chunks, so only it widens.
+    per_pass = epochs if uniform else epochs * max(1, min(_PASS_EPOCHS // epochs, _PASS_CHUNKS))
     # Row i is [1 - eta a_i | b_i], so one gather fetches a chunk's factors
     # and coefficients.  The halves go to `tail_products` as views.
     table = np.concatenate((1.0 - eta * p.curvature_matrix, p.linear_matrix), axis=1)
-    bounds = (np.full((epochs, n), n) if width == n
-              else _fisher_yates_bounds(n, 1 if single else epochs))
+    bounds = np.full(n, n) if uniform else np.arange(n, 1, -1)  # one epoch's
     seeds = np.asarray(seeds, dtype=np.uint64)
     for first in range(0, len(seeds), runs):
         block = seeds[first:first + runs]
-        # Only a run alone in its block spans several chunks, so at most one
-        # generator outlives the draws it makes.
-        rngs = ([np.random.default_rng(int(seed)) for seed in block.tolist()]
-                if len(block) < _ARRAY_RUNS else None)
+        streams = ([_Stream(seed) for seed in block.tolist()]
+                   if len(block) < _ARRAY_RUNS else None)
         y = y0
-        for t0 in range(0, k, epochs):
-            c = min(epochs, k - t0)
-            drawn = 1 if single else c
-            # `integers` has no `out`, so `draws` stays bound until the next
-            # chunk replaces it.  Freed earlier, the allocator handed its
-            # pages back and faulted them in again every chunk: ~4800 against
-            # ~250 faults per random-reshuffling run at n=500, k=2000.
-            if rngs is None:
-                draws = _block_draws(block, bounds[:drawn]).swapaxes(0, 1)
-            elif len(rngs) == 1:
-                draws = _draws(scheme, n, drawn, rngs[0], bounds)
+        for t0 in range(0, k, per_pass):
+            drawn = 1 if single else min(per_pass, k - t0)
+            if streams is None:
+                draws = _block_draws(block, np.broadcast_to(bounds, (drawn, len(bounds))))
+                draws = draws.swapaxes(0, 1)
+            elif len(streams) == 1:
+                draws = streams[0].integers(bounds, drawn)
             else:
-                draws = np.stack([_draws(scheme, n, drawn, rng, bounds) for rng in rngs], axis=1)
-            seqs = draws if width == n else _fisher_yates(
-                draws.reshape(-1, width)).reshape(draws.shape[:-1] + (n,))
-            # `gathered` is scratch; `np.take` writes `out` directly only
-            # under mode="clip", and every index is in range.
-            gathered = _scratch("gathered", seqs.shape + (2 * d,))
-            np.take(table, seqs, axis=0, out=gathered, mode="clip")
-            contraction, noise = tail_products(np.swapaxes(gathered[..., :d], -1, -2),
-                                               np.swapaxes(gathered[..., d:], -1, -2))
-            del seqs, gathered  # scratch views are not held across the yield
-            if single:
-                t = np.arange(1, k + 1).reshape((k,) + (1,) * (contraction.ndim - 1))
-                ys = contraction**t * y0 + eta * _geometric_factor(contraction, t) * noise
-            else:
-                noise *= eta
-                ys = _apply_maps(contraction, noise, y)
-                y = ys[-1]
-            yield first, ys
+                draws = np.empty((drawn, len(streams), len(bounds)), dtype=np.int64)
+                for r, stream in enumerate(streams):
+                    draws[:, r] = stream.integers(bounds, drawn)
+            seqs = draws if uniform else _fisher_yates(
+                draws.reshape(-1, len(bounds))).reshape(draws.shape[:-1] + (n,))
+            chunks = []
+            for c0 in range(0, len(seqs), epochs):
+                # `gathered` is scratch; `np.take` writes `out` directly only
+                # under mode="clip", and every index is in range.
+                gathered = _scratch("gathered", seqs[c0:c0 + epochs].shape + (2 * d,))
+                np.take(table, seqs[c0:c0 + epochs], axis=0, out=gathered, mode="clip")
+                contraction, noise = tail_products(np.swapaxes(gathered[..., :d], -1, -2),
+                                                   np.swapaxes(gathered[..., d:], -1, -2))
+                if single:
+                    t = np.arange(1, k + 1).reshape((k,) + (1,) * (contraction.ndim - 1))
+                    ys = contraction**t * y0 + eta * _geometric_factor(contraction, t) * noise
+                else:
+                    noise *= eta
+                    ys = _apply_maps(contraction, noise, y)
+                    y = ys[-1]
+                chunks.append(ys)
+            del draws, seqs, gathered  # scratch views are not held across a yield
+            for ys in chunks:
+                yield first, ys
 
 
 def run_sgd_closed_form(p: Problem, cfg: RunConfig) -> Trajectory:
     """Trajectory via per-epoch affine maps instead of explicit steps.
 
-    Consumes the generator exactly like `run_sgd`, so the two agree per seed
+    Makes the draws `run_sgd`'s generator makes, so the two agree per seed
     (to rounding).  This is the one-run case of `_chunked_iterates`: the
-    draws of about `_CHUNK_ENTRIES // n` epochs come from one generator call
-    (the same stream as one call per epoch, see the module docstring), one
-    Fisher-Yates pass permutes them and one `tail_products` call maps them;
+    draws of a Fisher-Yates pass, about `_CHUNK_ENTRIES // n` epochs or up to
+    `_PASS_EPOCHS`, come from one read of the run's stream (the same draws
+    as one generator call per epoch, see the module docstring), one pass
+    permutes them and one `tail_products` call maps each chunk of them;
     single shuffling uses the geometric closed form.  Losses are evaluated
     on the diagonal-frame iterates.
     """

@@ -176,8 +176,9 @@ def _check_seeding() -> CheckResult:
     """The vectorized seeding and draws against numpy: `derive_seeds` against
     `SeedSequence`, a block's PCG64 outputs against `random_raw` and its
     bounded draws against `Generator.integers` at a bound that rejects about
-    half its words, and batched final losses against per-run `default_rng`
-    runs."""
+    half its words, a run's raw-word draws against successive
+    `Generator.integers` calls, and batched final losses against per-run
+    `default_rng` runs."""
     keys = [(r % 3, r << (r % 48)) for r in range(256)]  # 1- and 2-word elements
     got = engine.derive_seeds(2**32 + 5, keys)
     want = [int(np.random.SeedSequence(2**32 + 5, spawn_key=key)
@@ -193,6 +194,15 @@ def _check_seeding() -> CheckResult:
                                   .bit_generator.random_raw(16)))
         draw_misses += int(np.any(draw_row != np.random.default_rng(seed)
                                   .integers(0, 2**31 + 1, size=4)))
+    # odd word counts carry a high half into the next call; the bound
+    # 2**31 + 1 rejects about half its words, so numpy makes that call
+    calls = [(np.arange(10, 1, -1), 3), (np.full(3, 2**31 + 1), 1), (np.full(10, 10), 5)]
+    streamed, stream_misses = seeds[:16], 0
+    for seed in streamed:
+        stream, rng = engine._Stream(seed), np.random.default_rng(seed)
+        for bounds, rows in calls:
+            want = rng.integers(0, np.tile(bounds, (rows, 1)))
+            stream_misses += int(np.any(stream.integers(bounds, rows) != want))
     n, k = 10, 5
     p = model.build_rr_construction(n, 1.0, 1.0, 4.0)
     x0, eta = [1.0, 0.5, -0.5], engine.recommended_eta(n, k, 1.0)
@@ -204,9 +214,10 @@ def _check_seeding() -> CheckResult:
         loss_misses += int(np.sum(batched != np.array(per_run)))
     return _result(
         "vectorized seeding and draws == numpy SeedSequence and default_rng",
-        seed_misses == 0 and draw_misses == 0 and loss_misses == 0,
+        seed_misses == 0 and draw_misses == 0 and stream_misses == 0 and loss_misses == 0,
         f"derive_seeds mismatches={seed_misses}/{len(keys)}, "
         f"raw/draw mismatches={draw_misses}/{2 * len(seeds)}, "
+        f"stream mismatches={stream_misses}/{len(calls) * len(streamed)}, "
         f"final_losses mismatches={loss_misses}/{3 * len(seeds)}",
     )
 

@@ -284,6 +284,18 @@ def swap_loop_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.array(perm, dtype=np.int64)
 
 
+def distinct_rows_problem(n: int) -> model.Problem:
+    """A two-dimensional instance whose n rows all differ, so a run's
+    iterates pin every index it draws.  (With d = 1 the reference's
+    `sequence_map` sums contiguous rows, whose einsum may round differently.)"""
+    rng = np.random.default_rng(n)
+    curv = rng.uniform(0.2, 2.0, (n, 2))
+    mean = curv.mean(axis=0)
+    return model.Problem(curvature_matrix=curv, linear_matrix=rng.uniform(-1.0, 1.0, (n, 2)),
+                         lam=float(mean.min()), lam_max=float(mean.max()),
+                         smooth_l=float(curv.max()), grad_bound=1.0)
+
+
 def per_epoch_closed_form(p: model.Problem, cfg: RunConfig):
     """Reference closed form that draws and applies one epoch map at a time,
     single shuffling included: (points, losses)."""
@@ -340,8 +352,7 @@ class TestChunkedStream:
             rows_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             # rows of a longer bound array, as a chunk shorter than the first takes them
             bounds = engine._fisher_yates_bounds(n, 12)
-            rows = engine._fisher_yates(engine._draws(engine.Scheme.RANDOM_RESHUFFLE, n, count,
-                                                      rows_rng, bounds))
+            rows = engine._fisher_yates(rows_rng.integers(0, bounds[:count]))
             assert rows.shape == (count, n) and rows.flags.c_contiguous
             for row in rows:
                 np.testing.assert_array_equal(row, swap_loop_permutation(n, loop_rng))
@@ -353,6 +364,30 @@ class TestChunkedStream:
             for _ in range(3):
                 np.testing.assert_array_equal(sample_permutation(n, a),
                                               swap_loop_permutation(n, b))
+
+
+class TestStream:
+    """A run's raw-word draws against numpy's generator, call after call."""
+
+    @pytest.mark.parametrize("n", [2, 9, 500])
+    def test_successive_calls_match_integers(self, n, monkeypatch):
+        # Odd word counts (3 draws at n = 2, 9 at n = 9, 1497 at n = 500)
+        # leave a high half for the next call; at the bound 2**31 + 1 numpy
+        # rejects about half its words, so those calls are numpy's own and
+        # the next call starts from the generator's state.
+        made = []
+        generator = np.random.Generator
+        monkeypatch.setattr(np.random, "Generator",
+                            lambda bit_generator: made.append(1) or generator(bit_generator))
+        shuffle, uniform, wide = np.arange(n, 1, -1), np.full(n, n), np.full(3, 2**31 + 1)
+        calls = [(shuffle, 3), (uniform, 1), (wide, 1), (shuffle, 2), (uniform, 5),
+                 (wide, 3), (shuffle, 1)]
+        for seed in (0, 5, 2**32 + 3, 2**64 - 1, 12345):
+            stream, rng = engine._Stream(seed), np.random.default_rng(seed)
+            for bounds, rows in calls:
+                want = rng.integers(0, np.tile(bounds, (rows, 1)))
+                np.testing.assert_array_equal(stream.integers(bounds, rows), want)
+        assert made
 
 
 class TestChunkedRuns:
@@ -398,7 +433,8 @@ class TestChunkedRuns:
         self.assert_matches_reference(p, cfg)
 
     @pytest.mark.parametrize("scheme", [Scheme.WITH_REPLACEMENT, Scheme.RANDOM_RESHUFFLE])
-    @pytest.mark.parametrize("case", ["desk-fig1-rr", "paper-ss", "rotated-rr"])
+    @pytest.mark.parametrize("case", ["desk-fig1-rr", "paper-ss", "rotated-rr",
+                                      "odd-chunks-n201", "odd-passes-n420"])
     def test_points_bit_identical_to_reference(self, case, scheme):
         # Both routes map an epoch through `tail_products` and apply it as
         # contraction*y + eta*noise, so the iterates agree exactly.
@@ -406,6 +442,13 @@ class TestChunkedRuns:
             O = random_rotation(3, np.random.default_rng(6))
             p = model.conjugate(model.build_rr_construction(100, 1.0, 1.0, 8.0), O)
             k, eta, x0 = 400, recommended_eta(100, 400, 1.0), O @ np.array([1.0, 0.5, -0.5])
+        elif case.startswith("odd"):
+            # Odd word counts per call: at n = 201 a with-replacement chunk
+            # draws 81 x 201 words, at n = 420 a reshuffling pass of three
+            # chunks 117 x 419, so the next call starts on a carried half.
+            n, k = (201, 200) if case == "odd-chunks-n201" else (420, 300)
+            p, x0 = distinct_rows_problem(n), [1.0, -0.5]
+            eta = recommended_eta(n, k, p.lam)
         else:
             plan = (experiments.desk_plan("rr") if case == "desk-fig1-rr"
                     else experiments.paper_plan("ss"))
@@ -414,6 +457,24 @@ class TestChunkedRuns:
             eta = plan.eta_for(k)
         assert k > 2 * (engine._CHUNK_ENTRIES // p.n)
         cfg = RunConfig(scheme=scheme, eta=eta, epochs=k, x0=x0, seed=2021)
+        points, _ = per_epoch_closed_form(p, cfg)
+        np.testing.assert_array_equal(run_sgd_closed_form(p, cfg).points, points)
+
+    def test_lemire_rejection_mid_run(self):
+        # Seed 122, found by scanning: numpy rejects the word of draw 64915
+        # (epoch 130) of this n = 500 reshuffling run, in its second
+        # Fisher-Yates pass, so that pass's draws are numpy's own and the
+        # third starts from its state, on a carried half.  About 0.4% of
+        # k = 300 runs at n = 500 hit a rejection.
+        n, k, seed = 500, 300, 122
+        raw = np.random.PCG64(seed).random_raw((k * (n - 1) + 1) // 2)
+        words = np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=1).reshape(-1)
+        bounds = np.tile(np.arange(n, 1, -1, dtype=np.uint64), k)
+        low = words[:bounds.size] * bounds & 0xFFFFFFFF
+        assert np.flatnonzero(low < 2**32 % bounds)[0] == 64915
+        p = distinct_rows_problem(n)
+        cfg = RunConfig(Scheme.RANDOM_RESHUFFLE, recommended_eta(n, k, p.lam), k, [1.0, -0.5],
+                        seed)
         points, _ = per_epoch_closed_form(p, cfg)
         np.testing.assert_array_equal(run_sgd_closed_form(p, cfg).points, points)
 
@@ -503,6 +564,23 @@ class TestFinalLosses:
         for block in (seeds, seeds + more):
             self.assert_matches_per_run(p, scheme, recommended_eta(10, 5, 1.0), 5,
                                         [1.0, 0.5, -0.5], block)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_stream_blocks_match_numpy_reference(self, scheme):
+        # Blocks of 2-31 runs draw from one stream per run; at n = 100,
+        # k = 40 a chunk holds 4 runs, so 9 seeds make blocks of 4, 4 and 1.
+        for n, k, count in ((10, 5, 2), (10, 5, 31), (100, 40, 9)):
+            p = distinct_rows_problem(n)
+            eta = recommended_eta(n, k, p.lam)
+            seeds = [TestSeedRule.first_word(9, (r,)) for r in range(count)]
+            x0 = [1.0, -0.5]
+            want = [per_epoch_closed_form(p, RunConfig(scheme, eta, k, x0, s))[1][-1]
+                    for s in seeds]
+            got = engine.final_losses(p, scheme, eta, k, x0, seeds)
+            if scheme is Scheme.SINGLE_SHUFFLE:  # the geometric closed form rounds apart
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            else:
+                np.testing.assert_array_equal(got, want)
 
     def test_mc_expected_loss_equals_per_run_loop(self):
         n, k, runs = 10, 5, 500
@@ -658,14 +736,22 @@ class TestScratch:
         losses = engine.final_losses(p, Scheme.RANDOM_RESHUFFLE, eta, 20, x0, range(30))
         perm = sample_permutation(100, rng)
         pq = engine.tail_products(rng.uniform(size=(4, 3, 50)), rng.normal(size=(4, 3, 50)))
-        results = [traj.points, traj.losses, losses, perm, *pq]
+        # a run of several Fisher-Yates passes of 128 epochs, and a block of streams
+        paper, paper_x0 = experiments.resolve_problem(experiments.paper_plan("ss"))
+        wide = run_sgd_closed_form(paper, RunConfig(Scheme.RANDOM_RESHUFFLE,
+                                                    recommended_eta(500, 300, 1.0), 300,
+                                                    paper_x0, 122))
+        few = engine.final_losses(p, Scheme.WITH_REPLACEMENT, eta, 20, x0, range(5))
+        results = [traj.points, traj.losses, losses, perm, *pq, wide.points, wide.losses, few]
         copies = [r.copy() for r in results]
         # later calls of other shapes: paper-scale runs, Monte Carlo blocks
-        paper, paper_x0 = experiments.resolve_problem(experiments.paper_plan("ss"))
         for scheme in Scheme:
             run_sgd_closed_form(paper, RunConfig(scheme, recommended_eta(500, 100, 1.0), 100,
                                                  paper_x0, 5))
             engine.final_losses(p, scheme, eta, 5, x0, range(100))
+            engine.final_losses(p, scheme, eta, 20, x0, range(40, 47))
+        run_sgd_closed_form(paper, RunConfig(Scheme.RANDOM_RESHUFFLE,
+                                             recommended_eta(500, 260, 1.0), 260, paper_x0, 7))
         engine.tail_products(rng.uniform(size=(2, 7)), rng.normal(size=(2, 7)))
         sample_permutation(500, rng)
         for got, want in zip(results, copies):
