@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import engine as _engine
-from .model import Problem, _to_diag_frame
+from .model import Problem, _to_diag_frame, check_even_n, is_integer
 
 ENUMERATION_CAP = 16
 
@@ -31,18 +31,14 @@ class UnsupportedInstanceError(ValueError):
     """Exact method requested on data the enumeration substrate cannot cover."""
 
 
-def _check_even(n: int):
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be even and >= 2, got {n}")
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _pattern_matrix(n: int) -> np.ndarray:
     """All C(n, n/2) balanced {0,1} rows, in lexicographic order of 1-positions.
 
     The one enumeration, so the one place the n <= ENUMERATION_CAP cap lives.
+    The cache is typed: 10.0 is not a hit for 10, so the checks see it.
     """
-    _check_even(n)
+    check_even_n(n)
     if n > ENUMERATION_CAP:
         raise UnsupportedInstanceError(
             f"exhaustive enumeration is capped at n = {ENUMERATION_CAP}, got {n}; "
@@ -77,7 +73,7 @@ def beta_lower_envelope(n: int, eta: float, lam_max: float) -> float:
     The multiplying universal constant is not part of the value; calibrated
     extremes of beta_exact / envelope live in the calibration file.
     """
-    _check_even(n)
+    check_even_n(n)
     alpha = eta * lam_max
     if alpha <= 0.0:
         raise ValueError("eta*lam_max must be positive (1/(eta*lam_max) appears)")
@@ -172,7 +168,7 @@ def perm_moment_formula(m: int, n: int) -> float:
 
 
 def perm_moment_fraction(m: int, n: int) -> Fraction:
-    _check_even(n)
+    check_even_n(n)
     if not 1 <= m <= n - 1:
         raise ValueError(f"m must lie in 1..n-1, got m={m}, n={n}")
     return Fraction(math.comb(n // 2 - 1, m - 1), 2 * math.comb(n - 1, m))
@@ -199,7 +195,7 @@ def stochastic_terms_ceiling(n: int, eta: float, lam_max: float) -> float:
 def _alternating_moments(n: int, eta: float, lam_max: float) -> Tuple[float, ...]:
     """`_moments_of` the balanced data with coefficients 1-2s and factors
     1-eta*lam_max*s."""
-    _check_even(n)
+    check_even_n(n)
     half = n // 2
     return _moments_of([0.0] * half + [lam_max] * half, [1.0] * half + [-1.0] * half, eta)
 
@@ -301,7 +297,7 @@ def _expected_moments(p: Problem, eta: float, k: int, x0,
     random reshuffling draws a fresh Q each epoch, so only the variances add.
     """
     _engine.check_eta(eta)
-    if not _engine.is_integer(k) or k < 0:
+    if not is_integer(k) or k < 0:
         raise ValueError(f"k must be an integer >= 0, got {k!r}")
     y0 = _to_diag_frame(p, x0)
     _engine._warn_if_large_eta(p, eta)
@@ -358,8 +354,8 @@ def mc_expected_loss(p: Problem, scheme: "_engine.Scheme", eta: float, k: int, x
     each run on its own stream, so every loss equals that run's
     `run_sgd_closed_form` final loss bit for bit.
     """
-    if runs < 2:
-        raise ValueError("need at least 2 runs for a standard error")
+    if not is_integer(runs) or runs < 2:
+        raise ValueError(f"runs must be an integer >= 2 for a standard error, got {runs!r}")
     seeds = _engine.derive_seeds(seed, np.arange(runs)[:, None])
     losses = _engine.final_losses(p, scheme, eta, k, x0, seeds)
     return float(np.mean(losses)), float(np.std(losses, ddof=1) / math.sqrt(runs))

@@ -41,12 +41,12 @@ at least `_ARRAY_RUNS` runs makes no bit generator either: from each run's
 computes the PCG64 outputs of every run at once and `_block_draws` turns
 them into draws as uint64 array expressions.  Numpy's `SeedSequence` is a
 fixed integer hash of the seed's 32-bit words, so `_seed_states` evaluates
-it for many rows at once, and `derive_seeds` takes the first uint64 word
-for every spawn key of a sweep cell or Monte Carlo estimate in one pass.
-numpy's own generator remains in three places: `run_sgd` and
-`sample_permutation`, the explicit-step reference; and the rare call in
-which numpy's bounded draw rejects a word (chance below b / 2**32 per
-draw) and draws from the next one, which numpy's generator makes again from
+it for all rows in one pass, and `derive_seeds` takes the first uint64 word
+for every spawn key of a sweep cell or Monte Carlo estimate through it.
+numpy's own generator remains in `run_sgd` and `sample_permutation`, the
+explicit-step reference, and in the one fallback, `_Stream.integers`: in
+the rare call where numpy's bounded draw rejects a word (chance below
+b / 2**32 per draw), the stream hands the call to numpy's generator from
 the same state.  The tests and `verify` pin both routes to numpy's
 `SeedSequence`, `random_raw` and `integers` word for word.
 
@@ -72,7 +72,7 @@ from typing import ClassVar, List, Tuple
 import numpy as np
 
 from . import model
-from .model import Problem, objective
+from .model import Problem, is_integer, objective
 
 RNG_ALGORITHM_ID = "numpy-pcg64/fisher-yates-high-to-low/v1"
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep  # as the package's code objects name it
@@ -116,11 +116,6 @@ def check_eta(eta: float) -> None:
         raise ValueError("eta must be nonnegative")
 
 
-def is_integer(value) -> bool:
-    """A Python or numpy integer, not a bool: the one integer test."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _check_run(eta: float, epochs: int, seeds) -> None:
     check_eta(eta)
     if not is_integer(epochs):
@@ -159,8 +154,10 @@ def recommended_eta(n: int, k: int, lam: float) -> float:
 
 
 def check_seed_base(entropy: int) -> None:
-    """Reject a negative master seed: the one rule for every seed base that
-    `derive_seeds` accepts."""
+    """Reject a master seed that is not a nonnegative integer: the one rule
+    for every seed base that `derive_seeds` accepts."""
+    if not is_integer(entropy):
+        raise ValueError(f"seed must be an integer, got {entropy!r}")
     if entropy < 0:
         raise ValueError(f"seed must be nonnegative, got {entropy}")
 
@@ -200,15 +197,16 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> _XSHIFT
 
 
-def _seed_sequence_state(words: np.ndarray, n_words: int) -> np.ndarray:
+def _seed_sequence_state(words: np.ndarray, lengths: np.ndarray, n_words: int) -> np.ndarray:
     """`SeedSequence.generate_state(n_words, np.uint64)` for every row, shape
     (n_words, rows), from `words`, the rows' assembled entropy as a
-    (word count, rows) uint32 array.
+    (words, rows) uint32 array zero-padded past each row's `lengths`.
 
     numpy's loops run in order, but the calls inside one step are
-    independent, so each step is one array expression: filling the pool,
-    mixing one source word into the three other pool words, mixing one
-    further entropy word into all four, and reading the state out.
+    independent, so each step is one array expression: filling the pool
+    (numpy hashes 0 past the entropy, as the padding does), mixing one
+    source word into the three other pool words, mixing one further entropy
+    word into all four where the row has it, and reading the state out.
     """
     length, rows = words.shape
     xor, mult = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(length, _POOL_SIZE))
@@ -221,9 +219,10 @@ def _seed_sequence_state(words: np.ndarray, n_words: int) -> np.ndarray:
         calls = slice(call, call + len(dst))
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[calls], mult[calls]))
         call += len(dst)
-    for word in words[_POOL_SIZE:]:
+    for i in range(_POOL_SIZE, length):
         calls = slice(call, call + _POOL_SIZE)
-        pool = _mix(pool, _hashmix(word, xor[calls], mult[calls]))
+        mixed = _mix(pool, _hashmix(words[i], xor[calls], mult[calls]))
+        pool = np.where(i < lengths, mixed, pool)
         call += _POOL_SIZE
     xor, mult = _hash_constants(_INIT_B, _MULT_B, 2 * n_words)
     out = _hashmix(pool[np.arange(2 * n_words) % _POOL_SIZE], xor, mult).astype(np.uint64)
@@ -246,7 +245,7 @@ def _seed_states(values: np.ndarray, head: list, n_words: int) -> np.ndarray:
 
     Row r's entropy words are `head` (the same for every row) followed by the
     words of values[r, 0], values[r, 1], ..., each split like `_int_words`.
-    Rows with the same total word count share one hash pass.
+    All rows share one hash pass over a zero-padded table of their words.
     """
     pieces, rest = [], values
     counts = np.ones(values.shape, dtype=np.int64)
@@ -257,23 +256,14 @@ def _seed_states(values: np.ndarray, head: list, n_words: int) -> np.ndarray:
         if not more.any():
             break
         counts += more
-    # Every row's own words in order, rows sorted by their count: masking the
-    # (rows, values, pieces) stack reads them row-major.
+    # Masking the (rows, values, pieces) stack reads every row's own words in
+    # order, row-major; masking the table by length writes them the same way.
     lengths = counts.sum(axis=1)
-    order = np.argsort(lengths, kind="stable")
-    present = np.arange(len(pieces)) < counts[order, :, None]
-    words = np.stack(pieces, axis=-1)[order][present]
-    head = np.array(head, dtype=np.uint32)[:, None]
-    states = np.empty((len(values), n_words), dtype=np.uint64)
-    first = used = 0
-    sizes = np.bincount(lengths)
-    for length in np.flatnonzero(sizes).tolist():
-        size = int(sizes[length])
-        own = words[used:used + size * length].reshape(size, length).T
-        entropy = np.concatenate((np.broadcast_to(head, (len(head), size)), own))
-        states[order[first:first + size]] = _seed_sequence_state(entropy, n_words).T
-        first, used = first + size, used + size * length
-    return states
+    own = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    table = np.zeros(own.shape, dtype=np.uint32)
+    table[own] = np.stack(pieces, axis=-1)[np.arange(len(pieces)) < counts[..., None]]
+    head = np.broadcast_to(np.array(head, dtype=np.uint32)[:, None], (len(head), len(values)))
+    return _seed_sequence_state(np.concatenate((head, table.T)), len(head) + lengths, n_words).T
 
 
 def derive_seeds(entropy: int, spawn_keys) -> List[int]:
@@ -289,7 +279,8 @@ def derive_seeds(entropy: int, spawn_keys) -> List[int]:
         keys = np.asarray(spawn_keys, dtype=object)
     if keys.size == 0:  # no keys, or keys without elements
         keys = np.zeros((len(keys), 0), dtype=np.int64)
-    if keys.ndim != 2 or keys.dtype.kind not in "iuO":
+    if keys.ndim != 2 or keys.dtype.kind not in "iuO" or (
+            keys.dtype.kind == "O" and not all(map(is_integer, keys.flat))):
         raise ValueError("spawn keys must be equal-length sequences of integers")
     if (keys < 0).any():
         raise ValueError("spawn key elements must be nonnegative")
@@ -403,7 +394,7 @@ def _block_draws(seeds: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     numpy's bounded draw takes the run's next 32-bit word, the low half of a
     PCG64 output first (`_lemire`).  All draws are first computed as if no
     word is rejected, and a run where one is (chance below b / 2**32 per
-    draw) is drawn again through numpy's own generator.  A block's streams
+    draw) is drawn again through its own `_Stream`.  A block's streams
     are never drawn from again, so an odd word count's unused high half is
     dropped.  numpy takes no word for a bound of 1; the engine's bounds are
     at least 2 (a `Problem` has n > 1), and bounds that are all 1 give zeros
@@ -415,7 +406,7 @@ def _block_draws(seeds: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     rejected = _lemire(words, bounds.reshape(-1))
     draws = words.view(np.int64).reshape((len(seeds),) + bounds.shape)
     for r in np.flatnonzero(rejected).tolist():
-        draws[r] = np.random.default_rng(int(seeds[r])).integers(0, bounds)
+        draws[r] = _Stream(int(seeds[r])).integers(bounds.reshape(-1), 1).reshape(bounds.shape)
     return draws
 
 
@@ -675,13 +666,13 @@ _CHUNK_ENTRIES = 2**14
 # 23 us.
 _ARRAY_RUNS = 32
 
-# Epochs a reshuffling run draws and permutes per Fisher-Yates pass when its
-# chunks hold fewer (n > 128), in whole chunks and at most `_PASS_CHUNKS` of
-# them, which bounds the pass's index arrays by the chunk size.  A pass pays
-# numpy's per-step cost once for all its rows.  Timed ns per entry at
-# n = 500 (numpy 2.4, one core): 20-21 at 32 rows (one chunk) and 13-16 at
-# 128; a prototype's 256 rows gained little more.  At n = 100 a chunk's 163
-# rows take 11-13.
+# Epochs a lone run draws per stream call, and a reshuffling run permutes per
+# Fisher-Yates pass, when its chunks hold fewer (n > 128), in whole chunks and
+# at most `_PASS_CHUNKS` of them, which bounds the pass's index arrays by the
+# chunk size.  A pass pays numpy's per-step cost once for all its rows.  Timed
+# ns per entry at n = 500 (numpy 2.4, one core): 20-21 at 32 rows (one chunk)
+# and 13-16 at 128; a prototype's 256 rows gained little more.  At n = 100 a
+# chunk's 163 rows take 11-13.
 _PASS_EPOCHS = 128
 _PASS_CHUNKS = 4
 
@@ -696,8 +687,8 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
     `_CHUNK_ENTRIES // n` epochs of one run; a run's chunks come in epoch
     order.  Each run makes its own stream's draws, a block of at least
     `_ARRAY_RUNS` runs as array expressions (see the module docstring).  A
-    pass draws one or more chunks' epochs (see `_PASS_EPOCHS`) and permutes
-    their rows in one Fisher-Yates pass; each chunk then takes one gather
+    pass draws one or more chunks' epochs (see `_PASS_EPOCHS`), permuted in
+    one Fisher-Yates pass under shuffling; each chunk then takes one gather
     from the `[1 - eta*A | B]` table and one `tail_products` call.
     Single shuffling draws one permutation per run and takes
     x_t = S^t x0 + eta * (1-S^t)/(1-S) * X for all k epochs at once, so its
@@ -711,11 +702,11 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
     epochs = k if single else min(k, max(1, _CHUNK_ENTRIES // n))
     runs = max(1, _CHUNK_ENTRIES // (epochs * n))
     # Only a run alone in its block spans several chunks, so only it widens.
-    per_pass = epochs if uniform else epochs * max(1, min(_PASS_EPOCHS // epochs, _PASS_CHUNKS))
+    per_pass = epochs * max(1, min(_PASS_EPOCHS // epochs, _PASS_CHUNKS))
     # Row i is [1 - eta a_i | b_i], so one gather fetches a chunk's factors
     # and coefficients.  The halves go to `tail_products` as views.
     table = np.concatenate((1.0 - eta * p.curvature_matrix, p.linear_matrix), axis=1)
-    bounds = np.full(n, n) if uniform else np.arange(n, 1, -1)  # one epoch's
+    bounds = np.full(n, n) if uniform else _fisher_yates_bounds(n, 1)[0]  # one epoch's
     seeds = np.asarray(seeds, dtype=np.uint64)
     for first in range(0, len(seeds), runs):
         block = seeds[first:first + runs]

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import bounds, engine, model
+from .model import is_integer
 
 LOG10_FLOOR = 1e-300
 SCHEME_ORDER = ("wr", "ss", "rr")
@@ -51,14 +52,11 @@ class SweepPlan:
 
     def __post_init__(self):
         for k in self.k_values:
-            if not engine.is_integer(k):
+            if not is_integer(k):
                 raise ValueError(f"k_values must be integers, got {k!r}")
-        if not engine.is_integer(self.seeds):
+        if not is_integer(self.seeds):
             raise ValueError(f"seeds must be an integer, got {self.seeds!r}")
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
-        object.__setattr__(self, "seeds", int(self.seeds))
-        if self.construction not in ("ss", "rr"):
-            raise ValueError("construction must be 'ss' or 'rr'")
         if not self.k_values or list(self.k_values) != sorted(set(self.k_values)):
             raise ValueError("k_values must be nonempty, ascending and distinct")
         if self.k_values[0] < 1:
@@ -71,6 +69,8 @@ class SweepPlan:
             engine.check_eta(eta)
             object.__setattr__(self, "eta_rule", eta)
         resolve_problem(self)  # a plan whose problem cannot be built is rejected here
+        for name in ("n", "seeds", "seed_base"):  # checked integers; numpy's are not JSON
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     def eta_for(self, k: int) -> float:
         if self.eta_rule == "recommended":
@@ -85,27 +85,23 @@ class SweepPlan:
         return doc
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is a bool
-
-
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    return is_integer(value) or isinstance(value, float)
 
 
 # key of a plan document -> (test of its JSON value, what the error asks for)
 _PLAN_KEYS = {
     "construction": (lambda v: isinstance(v, str), "a string"),
-    "n": (_is_int, "an integer"),
+    "n": (is_integer, "an integer"),
     "G": (_is_number, "a number"),
     "lambda": (_is_number, "a number"),
     "lambda_max": (_is_number, "a number"),
-    "k_values": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
-    "seeds": (_is_int, "an integer"),
+    "k_values": (lambda v: isinstance(v, list) and all(map(is_integer, v)), "a list of integers"),
+    "seeds": (is_integer, "an integer"),
     "x0_preset": (lambda v: isinstance(v, str), "a string"),
     "eta_rule": (lambda v: isinstance(v, str) or _is_number(v), '"recommended" or a number'),
     "couple_rng": (lambda v: isinstance(v, bool), "a boolean"),
-    "seed_base": (_is_int, "an integer"),
+    "seed_base": (is_integer, "an integer"),
 }
 _REQUIRED_PLAN_KEYS = ("construction", "n", "G", "lambda", "lambda_max", "k_values", "seeds")
 

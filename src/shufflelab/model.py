@@ -44,6 +44,17 @@ def _frozen_rows(curvatures, linear) -> tuple:
     return curvatures, linear
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool: the one integer test."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_even_n(n) -> None:
+    """Reject n unless an even integer >= 2: the constructions' and oracles' rule."""
+    if not is_integer(n) or n < 2 or n % 2:
+        raise ValueError(f"n must be even and an integer >= 2, got {n!r}")
+
+
 def _check_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
@@ -183,8 +194,7 @@ def problem_from_json_dict(doc: dict) -> Problem:
 
 
 def _check_construction_args(n: int, G: float, lam: float, lam_max: float):
-    if n <= 1 or n % 2 != 0:
-        raise ValueError(f"n must be even and > 1, got {n}")
+    check_even_n(n)
     for name, value in (("G", G), ("lam", lam), ("lam_max", lam_max)):
         _check_finite(name, value)
     if G < 0:

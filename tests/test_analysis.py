@@ -46,6 +46,16 @@ class TestPatterns:
         with pytest.raises(ValueError):
             analysis._pattern_matrix(n)
 
+    def test_float_n_rejected_once_the_integer_is_cached(self):
+        # 10.0 == 10 and both hash alike, so an untyped cache would hand back
+        # the n = 10 patterns without checking 10.0
+        analysis._pattern_matrix(10)
+        for oracle in (lambda n: beta_exact(n, 0.01, 1.0),
+                       lambda n: analysis.perm_moment_enumeration(1, n),
+                       lambda n: stochastic_terms_exact(n, 0.01, 1.0)):
+            with pytest.raises(ValueError, match="^n must be even and an integer >= 2, got 10.0$"):
+                oracle(10.0)
+
     @pytest.mark.parametrize("oracle", [
         lambda n: beta_exact(n, 0.01, 1.0),
         lambda n: sum_prod_expectation_exact(n, 0.01, 1.0),

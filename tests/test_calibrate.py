@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import shufflelab
 from shufflelab.calibrate import (
     keyup_square_envelope,
     load_calibration,
@@ -62,6 +66,22 @@ class TestCalibrationFile:
         fresh = measure_constants()
         for name, rec in fresh.items():
             assert stored[name]["value"] == pytest.approx(rec["value"], rel=1e-12)
+
+    def test_module_command_writes_a_fresh_sweep(self, tmp_path):
+        # `python -m shufflelab.calibrate PATH`, the way the packaged file is made
+        path = tmp_path / "cal.json"
+        src = os.path.dirname(os.path.dirname(shufflelab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "shufflelab.calibrate", str(path)],
+                              env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == f"wrote {path}"
+        written, stored = load_calibration(path), load_calibration()
+        fresh = measure_constants()
+        assert {name: rec["value"] for name, rec in written.items()} == {
+            name: rec["value"] for name, rec in fresh.items()}
+        for name, rec in written.items():  # verify's drift bound
+            ref = stored[name]["value"]
+            assert abs(rec["value"] - ref) / abs(ref) <= 1e-9
 
     def test_calibrated_constant_lookup(self):
         doc = load_calibration()

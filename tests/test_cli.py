@@ -99,6 +99,15 @@ class TestOracle:
         assert code == 0
         assert "-0.25" in out and "ceiling" in out
 
+    def test_stochastic_terms_prints_the_exact_value(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "--quantity", "stochastic-terms",
+                               "--n", "8", "--eta-lmax", "0.1")
+        assert code == 0
+        values = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
+        assert float(values["stochastic-terms expectation"]) == (
+            analysis.stochastic_terms_exact(8, 0.1, 1.0))
+        assert float(values["ceiling"]) == analysis.stochastic_terms_ceiling(8, 0.1, 1.0)
+
     def test_keyup(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--quantity", "keyup",
                                "--alphas", "0.5,0.5", "--betas", "1,-1",

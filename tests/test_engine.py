@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import warnings
 
@@ -626,6 +627,11 @@ def _desk_plan(**fields):
     return dataclasses.replace(experiments.desk_plan("ss"), **fields)
 
 
+def _mc_estimate(runs=2, seed=0):
+    return analysis.mc_expected_loss(two_point_problem(), Scheme.RANDOM_RESHUFFLE, 0.1, 2,
+                                     [0.0], runs, seed=seed)
+
+
 class TestIntegerInputs:
     """Counts and seeds must be Python or numpy integers, not floats,
     strings or bools; the error names the value."""
@@ -640,17 +646,37 @@ class TestIntegerInputs:
         (lambda: _desk_plan(k_values=(2.7, 5)), "k_values must be integers, got 2.7"),
         (lambda: _desk_plan(k_values=("10",)), "k_values must be integers, got '10'"),
         (lambda: _desk_plan(seeds=2.5), "seeds must be an integer, got 2.5"),
+        (lambda: _desk_plan(seed_base=1.5), "seed must be an integer, got 1.5"),
+        (lambda: _desk_plan(seed_base=True), "seed must be an integer, got True"),
+        (lambda: _mc_estimate(seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: _mc_estimate(runs=2.5),
+         "runs must be an integer >= 2 for a standard error, got 2.5"),
+        (lambda: engine.derive_seeds(0, [[1.5]]),
+         "spawn keys must be equal-length sequences of integers"),
+        (lambda: engine.derive_seeds(0, [[1, 2**64], [True, 2]]),
+         "spawn keys must be equal-length sequences of integers"),
+        (lambda: model.build_ss_construction(10.0, 1.0, 1.0, 4.0),
+         "n must be even and an integer >= 2, got 10.0"),
+        (lambda: _desk_plan(n=10.0), "n must be even and an integer >= 2, got 10.0"),
+        (lambda: analysis.sum_prod_expectation_exact(10.0, 0.01, 1.0),
+         "n must be even and an integer >= 2, got 10.0"),
     ], ids=["config-epochs-float", "config-epochs-bool", "config-seed-float",
             "config-seed-bool", "final_losses-k-float", "final_losses-seed-float",
-            "plan-k_values-float", "plan-k_values-str", "plan-seeds-float"])
+            "plan-k_values-float", "plan-k_values-str", "plan-seeds-float",
+            "plan-seed_base-float", "plan-seed_base-bool", "mc-seed-float",
+            "mc-runs-float", "spawn-key-float", "spawn-key-object-bool",
+            "construction-n-float", "plan-n-float", "sum_prod-n-float"])
     def test_non_integers_rejected(self, make, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()
 
     def test_numpy_integers_accepted(self):
-        plan = _desk_plan(k_values=np.array([10, 20]), seeds=np.int64(3))
-        assert plan.k_values == (10, 20) and plan.seeds == 3
-        assert all(type(v) is int for v in (*plan.k_values, plan.seeds))
+        plan = _desk_plan(n=np.int64(100), k_values=np.array([10, 20]), seeds=np.int64(3),
+                          seed_base=np.uint64(5))
+        assert plan.k_values == (10, 20) and plan.seeds == 3 and plan.seed_base == 5
+        assert all(type(v) is int
+                   for v in (plan.n, *plan.k_values, plan.seeds, plan.seed_base))
+        json.dumps(plan.to_json_dict())  # the records' metadata line
         cfg = _rr_config(epochs=np.int64(2), seed=np.uint64(2**64 - 1))
         want = _final_losses(2, [2**64 - 1])[0]
         assert run_sgd_closed_form(two_point_problem(), cfg).final_loss == want
@@ -806,6 +832,17 @@ class TestSeedRule:
         huge = [(3,), (2**64,), (2**100 + 1,), (2**32,)]  # object-dtype keys
         assert engine.derive_seeds(2**64, huge) == [self.first_word(2**64, k) for k in huge]
 
+    def test_seed_states_pad_rows_on_both_sides_of_the_pool(self):
+        # 3, 4, 5 and 8 entropy words in one table; numpy concatenates a
+        # list's words as the rows' values are split
+        values = [(1, 2, 3), (0, 2**32, 7), (2**64, 2**32 + 1, 0), (2**100, 2**64, 5)]
+        got = engine._seed_states(np.array(values, dtype=object), [], 4)
+        for row, entropy in zip(got, values):
+            want = np.random.SeedSequence(list(entropy)).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(row, want)
+        assert engine._seed_states(np.zeros((0, 1), np.uint64), [], 4).shape == (0, 4)
+        assert engine.derive_seeds(9, []) == []
+
     def test_many_keys_match(self):
         keys = np.arange(20000)[:, None]
         got = engine.derive_seeds(102, keys)
@@ -842,10 +879,12 @@ class TestSeedRule:
         bound = 2**31 + 1
         seeds = [r * (2**32 + 7) % 2**64 for r in range(64)] + self.BLOCK_SEEDS
         want = [np.random.default_rng(s).integers(0, bound, size=3) for s in seeds]
+        # a rejecting run is drawn again by its `_Stream`, which makes the
+        # engine's one numpy `Generator` outside the explicit-step reference
         fallbacks = []
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: fallbacks.append(seed) or default_rng(seed))
+        generator = np.random.Generator
+        monkeypatch.setattr(np.random, "Generator",
+                            lambda bit_generator: fallbacks.append(1) or generator(bit_generator))
         got = engine._block_draws(np.array(seeds, dtype=np.uint64), np.full(3, bound))
         np.testing.assert_array_equal(got, want)
         assert 0 < len(fallbacks) < len(seeds)
