@@ -274,7 +274,10 @@ def derive_seeds(entropy: int, spawn_keys) -> List[int]:
     key.  Keys are equal-length sequences of nonnegative integers, or an
     integer array of shape (keys, key length)."""
     check_seed_base(entropy)
-    keys = np.asarray(spawn_keys)
+    try:
+        keys = np.asarray(spawn_keys)
+    except ValueError:  # ragged keys; kept as rows of objects and rejected below
+        keys = np.asarray(spawn_keys, dtype=object)
     if keys.dtype.kind == "f":  # ints past int64 beside small ones promote to float
         keys = np.asarray(spawn_keys, dtype=object)
     if keys.size == 0:  # no keys, or keys without elements

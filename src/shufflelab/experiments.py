@@ -7,6 +7,11 @@ a standard error).  Outputs are byte-deterministic for a fixed plan: per-run
 seeds derive from the plan's seed_base through numpy SeedSequence spawn keys
 (scheme_code, k, seed_index), with the scheme code dropped when couple_rng
 asks for shared randomness across schemes.
+
+The dataclasses are the file formats: a plan document's keys are `SweepPlan`'s
+fields (`lambda`, `lambda_max` for `lam`, `lam_max`), those without a default
+required; a records CSV's `# plan=` line is one, reproducing the sweep byte
+for byte; the CSV columns are `SweepRecord`'s and `SweepSummary`'s fields.
 """
 
 from __future__ import annotations
@@ -15,8 +20,9 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import MISSING, asdict, dataclass, fields
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -25,8 +31,6 @@ from .model import is_integer
 
 LOG10_FLOOR = 1e-300
 SCHEME_ORDER = ("wr", "ss", "rr")
-RECORDS_HEADER = "scheme,k,seed,final_loss,log10_loss"
-SUMMARIES_HEADER = "scheme,k,mean_log10_loss,std_log10_loss,n_seeds"
 
 SCHEME_COLORS = {"wr": "#1f77b4", "ss": "#d62728", "rr": "#2ca02c"}
 SCHEME_LABELS = {
@@ -51,12 +55,19 @@ class SweepPlan:
     seed_base: int = 0
 
     def __post_init__(self):
-        for k in self.k_values:
+        for name in ("G", "lam", "lam_max"):
+            value = model.plain_number(_PLAN_DOC_KEYS.get(name, name), getattr(self, name))
+            object.__setattr__(self, name, value)
+        try:
+            k_values = tuple(self.k_values)
+        except TypeError:
+            raise ValueError(f"k_values must be a list of integers, got {self.k_values!r}") from None
+        for k in k_values:
             if not is_integer(k):
                 raise ValueError(f"k_values must be integers, got {k!r}")
         if not is_integer(self.seeds):
             raise ValueError(f"seeds must be an integer, got {self.seeds!r}")
-        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
+        object.__setattr__(self, "k_values", tuple(int(k) for k in k_values))
         if not self.k_values or list(self.k_values) != sorted(set(self.k_values)):
             raise ValueError("k_values must be nonempty, ascending and distinct")
         if self.k_values[0] < 1:
@@ -64,10 +75,14 @@ class SweepPlan:
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
         engine.check_seed_base(self.seed_base)
-        if self.eta_rule != "recommended":
-            eta = float(self.eta_rule)
-            engine.check_eta(eta)
-            object.__setattr__(self, "eta_rule", eta)
+        if model.is_number(self.eta_rule):
+            engine.check_eta(self.eta_rule)
+            object.__setattr__(self, "eta_rule", float(self.eta_rule))
+        elif not (isinstance(self.eta_rule, str) and self.eta_rule == "recommended"):
+            raise ValueError(f'eta_rule must be "recommended" or a number, got {self.eta_rule!r}')
+        if not isinstance(self.couple_rng, (bool, np.bool_)):
+            raise ValueError(f"couple_rng must be a boolean, got {self.couple_rng!r}")
+        object.__setattr__(self, "couple_rng", bool(self.couple_rng))
         resolve_problem(self)  # a plan whose problem cannot be built is rejected here
         for name in ("n", "seeds", "seed_base"):  # checked integers; numpy's are not JSON
             object.__setattr__(self, name, int(getattr(self, name)))
@@ -75,57 +90,33 @@ class SweepPlan:
     def eta_for(self, k: int) -> float:
         if self.eta_rule == "recommended":
             return engine.recommended_eta(self.n, k, self.lam)
-        return float(self.eta_rule)
+        return self.eta_rule
 
     def to_json_dict(self) -> dict:
-        doc = asdict(self)
-        doc["lambda"] = doc.pop("lam")
-        doc["lambda_max"] = doc.pop("lam_max")
+        doc = {_PLAN_DOC_KEYS.get(name, name): value for name, value in asdict(self).items()}
         doc["k_values"] = list(self.k_values)
         return doc
 
 
-def _is_number(value) -> bool:
-    return is_integer(value) or isinstance(value, float)
-
-
-# key of a plan document -> (test of its JSON value, what the error asks for)
-_PLAN_KEYS = {
-    "construction": (lambda v: isinstance(v, str), "a string"),
-    "n": (is_integer, "an integer"),
-    "G": (_is_number, "a number"),
-    "lambda": (_is_number, "a number"),
-    "lambda_max": (_is_number, "a number"),
-    "k_values": (lambda v: isinstance(v, list) and all(map(is_integer, v)), "a list of integers"),
-    "seeds": (is_integer, "an integer"),
-    "x0_preset": (lambda v: isinstance(v, str), "a string"),
-    "eta_rule": (lambda v: isinstance(v, str) or _is_number(v), '"recommended" or a number'),
-    "couple_rng": (lambda v: isinstance(v, bool), "a boolean"),
-    "seed_base": (is_integer, "an integer"),
-}
-_REQUIRED_PLAN_KEYS = ("construction", "n", "G", "lambda", "lambda_max", "k_values", "seeds")
+# the plan document's key for each field it does not name as is
+_PLAN_DOC_KEYS = {"lam": "lambda", "lam_max": "lambda_max"}
 
 
 def plan_from_json_dict(doc: dict) -> SweepPlan:
     """The plan a `SweepPlan.to_json_dict` document describes.  A document
-    that is not an object, lacks a required key, or has an unknown key or a
-    value of the wrong JSON type raises ValueError naming those keys."""
+    that is not an object, lacks a key for a field without a default, or has
+    a key for no field raises ValueError naming those keys; `SweepPlan`
+    checks the values."""
     if not isinstance(doc, dict):
         raise ValueError(f"a plan must be a JSON object, got {type(doc).__name__}")
-    missing = [key for key in _REQUIRED_PLAN_KEYS if key not in doc]
+    by_key = {_PLAN_DOC_KEYS.get(f.name, f.name): f for f in fields(SweepPlan)}
+    missing = [key for key, f in by_key.items() if f.default is MISSING and key not in doc]
     if missing:
         raise ValueError(f"plan lacks required keys: {', '.join(missing)}")
-    unknown = sorted(set(doc) - set(_PLAN_KEYS))
+    unknown = sorted(set(doc) - set(by_key))
     if unknown:
         raise ValueError(f"unknown plan keys: {', '.join(unknown)}")
-    wrong = [f"{key} must be {what}" for key, (ok, what) in _PLAN_KEYS.items()
-             if key in doc and not ok(doc[key])]
-    if wrong:
-        raise ValueError(f"bad plan fields: {'; '.join(wrong)}")
-    doc = dict(doc)
-    doc["lam"] = doc.pop("lambda")
-    doc["lam_max"] = doc.pop("lambda_max")
-    return SweepPlan(**doc)
+    return SweepPlan(**{by_key[key].name: value for key, value in doc.items()})
 
 
 def desk_plan(construction: str, seed_base: int = 0) -> SweepPlan:
@@ -324,72 +315,61 @@ def fit_bound_constant(summaries: Sequence[SweepSummary], spec: bounds.BoundSpec
 # CSV emission
 
 
-def _plan_meta_lines(plan: Optional[SweepPlan]) -> List[str]:
-    lines = []
-    if plan is not None:
-        lines.append("# plan=" + json.dumps(plan.to_json_dict(), sort_keys=True))
-    lines.append(f"# log10_floor={LOG10_FLOOR!r}")
-    lines.append(f"# rng_algorithm_id={engine.RNG_ALGORITHM_ID}")
-    return lines
+def _columns(row_type: type) -> Tuple[List[str], list]:
+    """A CSV's column names and types: its row type's fields, in order."""
+    hints = get_type_hints(row_type)
+    return [f.name for f in fields(row_type)], [hints[f.name] for f in fields(row_type)]
+
+
+def _emit_csv(rows: Sequence, row_type: type, path, plan: Optional[SweepPlan],
+              *meta: str) -> None:
+    """Write the `#` lines (the plan when given, the log10 floor, the RNG id,
+    then `meta`), a header of `row_type`'s field names and one line per row:
+    float cells by repr, the others by str."""
+    lines = [] if plan is None else ["# plan=" + json.dumps(plan.to_json_dict(), sort_keys=True)]
+    lines += [f"# log10_floor={LOG10_FLOOR!r}", f"# rng_algorithm_id={engine.RNG_ALGORITHM_ID}",
+              *meta]
+    names, kinds = _columns(row_type)
+    row_format = ",".join("%r" if kind is float else "%s" for kind in kinds)
+    lines += [",".join(names), *(row_format % cells for cells in map(attrgetter(*names), rows))]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _read_csv(path, row_type: type) -> list:
+    """The rows of a CSV that `_emit_csv` wrote for `row_type`, skipping blank
+    and `#` lines.  ValueError on a missing or other header, on a row with
+    another cell count, or on a cell its field's type cannot parse."""
+    names, kinds = _columns(row_type)
+    with open(path) as fh:
+        rows = [line.split(",") for line in map(str.strip, fh) if line and line[0] != "#"]
+    if not rows:
+        raise ValueError(f"no header in {path}")
+    if rows[0] != names:
+        raise ValueError(f"unexpected header in {path}")
+    ragged = [len(cells) for cells in rows[1:] if len(cells) != len(kinds)]
+    if ragged:
+        raise ValueError(f"a row of {path} has {ragged[0]} cells, not {len(kinds)}")
+    return [row_type(*[kind(cell) for kind, cell in zip(kinds, cells)]) for cells in rows[1:]]
 
 
 def emit_records_csv(records: Sequence[SweepRecord], path,
                      plan: Optional[SweepPlan] = None) -> None:
-    lines = _plan_meta_lines(plan)
     clamped = sum(1 for r in records if r.final_loss < LOG10_FLOOR)
-    lines.append(f"# clamped_rows={clamped}")
-    lines.append(RECORDS_HEADER)
-    for r in records:
-        lines.append(f"{r.scheme},{r.k},{r.seed},{r.final_loss!r},{r.log10_loss!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _emit_csv(records, SweepRecord, path, plan, f"# clamped_rows={clamped}")
 
 
 def emit_summaries_csv(summaries: Sequence[SweepSummary], path,
                        plan: Optional[SweepPlan] = None) -> None:
-    lines = _plan_meta_lines(plan)
-    lines.append(SUMMARIES_HEADER)
-    for s in summaries:
-        lines.append(
-            f"{s.scheme},{s.k},{s.mean_log10_loss!r},{s.std_log10_loss!r},{s.n_seeds}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _data_rows(path, header: str) -> List[List[str]]:
-    """The rows of a CSV below its header line, which must be `header`;
-    blank and `#` lines are skipped."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append(line.split(","))
-    if not rows:
-        raise ValueError(f"no header in {path}")
-    if rows[0] != header.split(","):
-        raise ValueError(f"unexpected header in {path}")
-    return rows[1:]
+    _emit_csv(summaries, SweepSummary, path, plan)
 
 
 def read_records_csv(path) -> List[SweepRecord]:
-    rows = _data_rows(path, RECORDS_HEADER)
-    return [
-        SweepRecord(scheme=r[0], k=int(r[1]), seed=int(r[2]),
-                    final_loss=float(r[3]), log10_loss=float(r[4]))
-        for r in rows
-    ]
+    return _read_csv(path, SweepRecord)
 
 
 def read_summaries_csv(path) -> List[SweepSummary]:
-    rows = _data_rows(path, SUMMARIES_HEADER)
-    return [
-        SweepSummary(scheme=r[0], k=int(r[1]), mean_log10_loss=float(r[2]),
-                     std_log10_loss=float(r[3]), n_seeds=int(r[4]))
-        for r in rows
-    ]
+    return _read_csv(path, SweepSummary)
 
 
 # ---------------------------------------------------------------------------

@@ -49,15 +49,30 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_number(value) -> bool:
+    """A Python or numpy integer or float, not a bool: the one number test."""
+    return is_integer(value) or isinstance(value, (float, np.floating))
+
+
+def plain_number(name: str, value):
+    """`value` as the Python int or float it equals, since numpy's are not
+    JSON; ValueError naming `name` unless `is_number(value)`."""
+    if not is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return int(value) if is_integer(value) else float(value)
+
+
 def check_even_n(n) -> None:
     """Reject n unless an even integer >= 2: the constructions' and oracles' rule."""
     if not is_integer(n) or n < 2 or n % 2:
         raise ValueError(f"n must be even and an integer >= 2, got {n!r}")
 
 
-def _check_finite(name: str, value: float) -> None:
+def _check_finite(name: str, value: float) -> float:
+    value = plain_number(name, value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -96,7 +111,7 @@ class Problem:
         if self.n <= 1:
             raise ValueError("a finite-sum problem needs n > 1 components")
         for name in ("lam", "lam_max", "smooth_l", "grad_bound"):
-            _check_finite(name, getattr(self, name))
+            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
         if not (self.lam > 0 and self.lam_max > 0 and self.smooth_l > 0):
             raise ValueError("lam, lam_max and smooth_l must be positive")
         if self.grad_bound < 0:

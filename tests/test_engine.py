@@ -655,6 +655,8 @@ class TestIntegerInputs:
          "spawn keys must be equal-length sequences of integers"),
         (lambda: engine.derive_seeds(0, [[1, 2**64], [True, 2]]),
          "spawn keys must be equal-length sequences of integers"),
+        (lambda: engine.derive_seeds(0, [[1], [1, 2]]),
+         "spawn keys must be equal-length sequences of integers"),
         (lambda: model.build_ss_construction(10.0, 1.0, 1.0, 4.0),
          "n must be even and an integer >= 2, got 10.0"),
         (lambda: _desk_plan(n=10.0), "n must be even and an integer >= 2, got 10.0"),
@@ -664,7 +666,7 @@ class TestIntegerInputs:
             "config-seed-bool", "final_losses-k-float", "final_losses-seed-float",
             "plan-k_values-float", "plan-k_values-str", "plan-seeds-float",
             "plan-seed_base-float", "plan-seed_base-bool", "mc-seed-float",
-            "mc-runs-float", "spawn-key-float", "spawn-key-object-bool",
+            "mc-runs-float", "spawn-key-float", "spawn-key-object-bool", "spawn-key-ragged",
             "construction-n-float", "plan-n-float", "sum_prod-n-float"])
     def test_non_integers_rejected(self, make, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

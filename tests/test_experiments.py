@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from concurrent.futures import Future
 
 import numpy as np
@@ -60,6 +61,38 @@ class TestPlan:
         for k_values in ((-3, 0, 5), (0, 5)):
             with pytest.raises(ValueError, match=f"^k_values must be >= 1, got {k_values[0]}$"):
                 tiny_plan(k_values=k_values)
+
+    NUMPY_FIELDS = dict(n=np.int64(8), G=np.float32(0.5), lam=np.int32(1),
+                        lam_max=np.float64(2.0), k_values=np.array([1, 2, 4], dtype=np.uint16),
+                        seeds=np.uint8(5), eta_rule=np.float32(0.1), couple_rng=np.bool_(True),
+                        seed_base=np.uint64(3))
+
+    @pytest.mark.parametrize("overrides", [
+        {}, NUMPY_FIELDS, *({name: value} for name, value in NUMPY_FIELDS.items()),
+        dict(G=1, lam=1, lam_max=2, eta_rule=0),
+    ], ids=["python", "numpy", *NUMPY_FIELDS, "integer-numbers"])
+    def test_accepted_plans_round_trip_through_the_records(self, tmp_path, overrides):
+        plan = tiny_plan(**overrides)
+        assert plan_from_json_dict(json.loads(json.dumps(plan.to_json_dict()))) == plan
+        path = tmp_path / "records.csv"
+        emit_records_csv([], path, plan)
+        plan_line = path.read_text().splitlines()[0]
+        assert plan_from_json_dict(json.loads(plan_line.removeprefix("# plan="))) == plan
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("G", None, "G must be a number, got None"),
+        ("G", "1", "G must be a number, got '1'"),
+        ("lam", True, "lambda must be a number, got True"),
+        ("lam_max", np.str_("2"), "lambda_max must be a number, got np.str_('2')"),
+        ("k_values", 5, "k_values must be a list of integers, got 5"),
+        ("eta_rule", None, 'eta_rule must be "recommended" or a number, got None'),
+        ("eta_rule", True, 'eta_rule must be "recommended" or a number, got True'),
+        ("eta_rule", "0.01", "eta_rule must be \"recommended\" or a number, got '0.01'"),
+        ("couple_rng", 1, "couple_rng must be a boolean, got 1"),
+    ])
+    def test_plan_names_the_key_of_a_bad_value(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tiny_plan(**{field: value})
 
     def test_eta_rules(self):
         assert tiny_plan().eta_for(4) == pytest.approx(math.log(32) / 32)
@@ -200,6 +233,21 @@ class TestCsv:
         for text in ("", "# plan={}\n\n"):
             path.write_text(text)
             with pytest.raises(ValueError, match="^no header in "):
+                reader(path)
+
+    @pytest.mark.parametrize("emit, reader, row", [
+        (emit_records_csv, read_records_csv, experiments.SweepRecord("wr", 1, 0, 0.5, -0.3)),
+        (emit_summaries_csv, read_summaries_csv, SweepSummary("rr", 2, -0.3, 0.1, 5)),
+    ])
+    def test_row_of_another_cell_count_rejected(self, tmp_path, emit, reader, row):
+        path = tmp_path / "rows.csv"
+        emit([row, row], path)
+        text = path.read_text()
+        assert reader(path) == [row, row]
+        line = text.splitlines()[-1]
+        for bad, cells in ((line.rsplit(",", 1)[0], 4), (line + ",9", 6)):
+            path.write_text(text.replace(line + "\n", bad + "\n", 1))
+            with pytest.raises(ValueError, match=f"^a row of .* has {cells} cells, not 5$"):
                 reader(path)
 
     def test_byte_determinism(self, tmp_path):

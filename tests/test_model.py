@@ -265,6 +265,7 @@ class TestSerialization:
          "curvature and linear data must be finite"),
         (lambda doc: doc["components"][3]["curvatures"].__setitem__(1, float("inf")),
          "curvature and linear data must be finite"),
+        (lambda doc: doc.__setitem__("lambda", None), "lam must be a number, got None"),
     ])
     def test_reader_rejects_malformed_documents(self, edit, message):
         doc = build_rr_construction(4, 1.0, 1.0, 2.0).to_json_dict()
@@ -309,6 +310,24 @@ class TestInvariants:
         fields[name] = value
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
             Problem(curvature_matrix=[[1.0], [1.0]], linear_matrix=[[0.0], [0.0]], **fields)
+
+    @pytest.mark.parametrize("name", ["lam", "lam_max", "smooth_l", "grad_bound"])
+    @pytest.mark.parametrize("value", [None, "1", True])
+    def test_problem_rejects_non_numeric_metadata(self, name, value):
+        fields = dict(lam=1.0, lam_max=1.0, smooth_l=1.0, grad_bound=1.0)
+        fields[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got {value!r}$"):
+            Problem(curvature_matrix=[[1.0], [1.0]], linear_matrix=[[0.0], [0.0]], **fields)
+
+    def test_problem_stores_numpy_metadata_as_python_numbers(self):
+        p = Problem(curvature_matrix=[[1.0], [1.0]], linear_matrix=[[0.0], [0.0]],
+                    lam=np.float32(0.5), lam_max=np.float64(1.0), smooth_l=np.int32(1),
+                    grad_bound=np.int64(2))
+        values = (p.lam, p.lam_max, p.smooth_l, p.grad_bound)
+        assert [type(v) for v in values] == [float, float, int, int]
+        assert values == (0.5, 1.0, 1, 2)
+        q = model.problem_from_json_dict(json.loads(json.dumps(p.to_json_dict())))
+        assert (q.lam, q.lam_max, q.smooth_l, q.grad_bound) == values
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("field", ["curvature_matrix", "linear_matrix"])
