@@ -155,15 +155,17 @@ def _cmd_simulate(args, parser) -> int:
 
 def _cmd_oracle(args, parser) -> int:
     q = args.quantity
-    if q in ("beta", "sum-prod", "stochastic-terms"):
-        if args.n < 2 or args.n % 2 != 0 or args.n > analysis.ENUMERATION_CAP:
-            parser.error(
-                f"--n must be even and within [2, {analysis.ENUMERATION_CAP}] "
-                f"for enumeration oracles, got {args.n}"
-            )
+    if q in ("beta", "perm-moment", "sum-prod", "stochastic-terms"):
+        try:
+            model.check_even_n(args.n)
+        except ValueError as exc:
+            parser.error(f"--n: {exc}")
+    if q in ("beta", "sum-prod", "stochastic-terms") and args.n > analysis.ENUMERATION_CAP:
+        parser.error(
+            f"--n must be even and within [2, {analysis.ENUMERATION_CAP}] "
+            f"for enumeration oracles, got {args.n}"
+        )
     if q == "perm-moment":  # closed form: no enumeration cap
-        if args.n < 2 or args.n % 2 != 0:
-            parser.error(f"--n must be even and >= 2, got {args.n}")
         if not 1 <= args.m <= args.n - 1:
             parser.error(f"--m must lie in 1..n-1, got {args.m}")
     row = None
@@ -322,7 +324,7 @@ def _cmd_reproduce_fig1(args, parser) -> int:
     if args.scale == "paper":
         print(
             "warning: paper scale runs 3 schemes x 12 k-values x 100 seeds on "
-            "n=500, about 40 s of CPU (about 20 s wall at --jobs 2 on a 2-vCPU Xeon)",
+            "n=500, about 34 s of CPU (about 17 s wall at --jobs 2 on a 2-vCPU Xeon)",
             file=sys.stderr,
         )
     for plan in plans:

@@ -50,12 +50,23 @@ b / 2**32 per draw), the stream hands the call to numpy's generator from
 the same state.  The tests and `verify` pin both routes to numpy's
 `SeedSequence`, `random_raw` and `integers` word for word.
 
+An epoch map's suffix products depend only on the factors 1 - eta*a_i in
+position order.  When every component has the same factors, tested on the
+factor values (the single-shuffling construction, where the order moves only
+the linear terms), they are the same in every epoch and every order:
+`_map_table` computes them and the contraction P once per call, and each
+chunk takes only its noise sum Q.  A problem with any varying factor column
+takes `tail_products` per chunk.  Both routes sum Q left to right over
+positions, with b a strided view of the gathered rows (see `tail_products`),
+so they give the same values bit for bit.
+
 The closed form takes its large working arrays from one grow-only scratch
 per process (`_scratch`): a stream's words and draws, the vectorized
 Fisher-Yates pass's index and work arrays, the gathered `[1 - eta*A | B]`
 rows and `tail_products`' suffix products.  It outlives every run, because
 a run freeing them hands their pages back to the system and the next run
-faults them in again.  No scratch view leaves the engine.
+faults them in again.  No scratch view leaves the engine, and the shared
+suffix products of a call are a fresh array.
 """
 
 from __future__ import annotations
@@ -108,10 +119,10 @@ class RunConfig:
 
 
 def check_eta(eta: float) -> None:
-    """Reject a step size that is NaN, infinite or negative: the one rule for
-    every fixed step size a run or a sweep plan accepts."""
-    if not math.isfinite(eta):
-        raise ValueError(f"eta must be finite, got {eta}")
+    """Reject a step size that is not a number, NaN, infinite, past the float
+    range or negative: the one rule for every fixed step size a run or a
+    sweep plan accepts."""
+    model._check_finite("eta", eta)
     if eta < 0:
         raise ValueError("eta must be nonnegative")
 
@@ -581,21 +592,40 @@ def run_sgd(p: Problem, cfg: RunConfig) -> Trajectory:
     return Trajectory(points=points, losses=losses, config=cfg)
 
 
+def _suffix_products(factors: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[..., i] = prod_{l>i} factors[..., l], one `cumprod` from the last
+    position down; `out` is C-ordered, shaped like `factors`."""
+    out[..., -1] = 1.0
+    np.cumprod(factors[..., :0:-1], axis=-1, out=out[..., -2::-1])
+    return out
+
+
+def _noise_sum(b: np.ndarray, suffix: np.ndarray) -> np.ndarray:
+    """sum_i b[..., i] * suffix[..., i] as a new array, `suffix` broadcasting
+    against `b`: the one summation of the epoch maps' noise."""
+    return np.einsum("...i,...i->...", b, suffix)
+
+
 def tail_products(factors: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The epoch's tail product, reduced over the last axis.
 
     P = prod_i factors[..., i] and Q = sum_j b[..., j] * prod_{i>j} factors[..., i];
     every leading axis is a batch axis.  This is the one suffix-product kernel
-    behind the epoch maps and the permutation oracles.  Transposed inputs
-    should be passed as views: a contiguous copy changes the rounding.  The
-    suffix products are C-ordered scratch (see `_scratch`); P and Q are new
-    arrays.
+    behind the epoch maps and the permutation oracles: a suffix scan
+    (`_suffix_products`) and a noise sum (`_noise_sum`), which the closed
+    form also runs apart when every component shares its factors.
+
+    Summation contract: P is the product taken from the last position down,
+    and Q adds its terms left to right over positions, as Python floats
+    would (`acc = acc + b_j * s_j`), for b as the engine passes it, a view
+    strided along positions.  A contiguous b lets `einsum` take its SIMD
+    loop, which rounds differently, so transposed inputs should be passed as
+    views.  The suffix products are C-ordered scratch (see `_scratch`); P and
+    Q are new arrays.
     """
-    # suffix[..., i] = prod of factors strictly after position i
-    suffix = _scratch("tail_products_suffix", factors.shape, factors.dtype)
-    suffix[..., -1] = 1.0
-    np.cumprod(factors[..., :0:-1], axis=-1, out=suffix[..., -2::-1])
-    return suffix[..., 0] * factors[..., 0], np.einsum("...i,...i->...", b, suffix)
+    suffix = _suffix_products(factors, _scratch("tail_products_suffix", factors.shape,
+                                                 factors.dtype))
+    return suffix[..., 0] * factors[..., 0], _noise_sum(b, suffix)
 
 
 def sequence_map(p: Problem, seq, eta: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -648,7 +678,7 @@ def _apply_maps(contraction: np.ndarray, noise: np.ndarray, y0: np.ndarray) -> n
                                    noise.reshape(c, lanes).T.tolist(), starts):
             out.append([y := a * y + b for a, b in zip(col_a, col_b)])
         return np.array(out).T.copy().reshape(contraction.shape)
-    ys = np.empty_like(contraction)
+    ys = np.empty(contraction.shape)  # C order, also for a broadcast contraction
     y = y0
     for t in range(len(contraction)):
         y = ys[t] = contraction[t] * y + noise[t]
@@ -680,6 +710,46 @@ _PASS_EPOCHS = 128
 _PASS_CHUNKS = 4
 
 
+def _map_table(p: Problem, eta: float):
+    """(table, shared): the epoch maps' inputs at step size eta.
+
+    Row i of the (n, 2d) table is [1 - eta a_i | b_i], so one gather fetches
+    an epoch's factors and coefficients.  When every component has the same
+    factors, tested on the factor values (the single-shuffling construction),
+    the suffix products and the contraction P are the same for every epoch
+    and every order: `shared` holds them, (d, n) and (d,), computed once as
+    fresh arrays, since they outlive the chunks' scratch.  Otherwise it is None.
+    """
+    table = np.concatenate((1.0 - eta * p.curvature_matrix, p.linear_matrix), axis=1)
+    factors = table[:, :p.dim].T
+    if not (factors == factors[:, :1]).all():
+        return table, None
+    suffix = _suffix_products(factors, np.empty(factors.shape))
+    return table, (suffix, suffix[:, 0] * factors[:, 0])
+
+
+def _epoch_maps(table: np.ndarray, shared, seqs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(contraction, noise) of the epochs whose index rows are `seqs`, each
+    shaped seqs.shape[:-1] + (d,), from one gather of the `_map_table` rows.
+
+    Without `shared` the gathered halves go to `tail_products` as views.
+    With it, an epoch takes only the noise sum against the shared suffix
+    products, and the contraction is the shared P broadcast (read-only).
+    Both sum over the gather's strided linear half, so they agree bit for bit.
+    """
+    d = table.shape[1] // 2
+    # `gathered` is scratch; `np.take` writes `out` directly only under
+    # mode="clip", and every index is in range.
+    gathered = _scratch("gathered", seqs.shape + (2 * d,))
+    np.take(table, seqs, axis=0, out=gathered, mode="clip")
+    b = np.swapaxes(gathered[..., d:], -1, -2)
+    if shared is None:
+        return tail_products(np.swapaxes(gathered[..., :d], -1, -2), b)
+    suffix, contraction = shared
+    noise = _noise_sum(b, suffix)
+    return np.broadcast_to(contraction, noise.shape), noise
+
+
 def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.ndarray, seeds):
     """Yield (first, ys) chunk by chunk: ys of shape (epochs, runs, d) holds
     the diagonal-frame end-of-epoch iterates of the runs seeded by
@@ -692,23 +762,22 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
     `_ARRAY_RUNS` runs as array expressions (see the module docstring).  A
     pass draws one or more chunks' epochs (see `_PASS_EPOCHS`), permuted in
     one Fisher-Yates pass under shuffling; each chunk then takes one gather
-    from the `[1 - eta*A | B]` table and one `tail_products` call.
+    from the `[1 - eta*A | B]` table and one `tail_products` call, or only
+    its noise sum when every component shares its factors (`_epoch_maps`).
     Single shuffling draws one permutation per run and takes
     x_t = S^t x0 + eta * (1-S^t)/(1-S) * X for all k epochs at once, so its
     chunks always hold whole runs; zero-curvature directions (S == 1) take
     the t-limit.  The other schemes scale the chunk's noise by eta once,
     then apply their maps in order over the (runs, d) block.
     """
-    n, d = p.n, p.dim
+    n = p.n
     single = scheme is Scheme.SINGLE_SHUFFLE
     uniform = scheme is Scheme.WITH_REPLACEMENT
     epochs = k if single else min(k, max(1, _CHUNK_ENTRIES // n))
     runs = max(1, _CHUNK_ENTRIES // (epochs * n))
     # Only a run alone in its block spans several chunks, so only it widens.
     per_pass = epochs * max(1, min(_PASS_EPOCHS // epochs, _PASS_CHUNKS))
-    # Row i is [1 - eta a_i | b_i], so one gather fetches a chunk's factors
-    # and coefficients.  The halves go to `tail_products` as views.
-    table = np.concatenate((1.0 - eta * p.curvature_matrix, p.linear_matrix), axis=1)
+    table, shared = _map_table(p, eta)
     bounds = np.full(n, n) if uniform else _fisher_yates_bounds(n, 1)[0]  # one epoch's
     seeds = np.asarray(seeds, dtype=np.uint64)
     for first in range(0, len(seeds), runs):
@@ -731,12 +800,7 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
                 draws.reshape(-1, len(bounds))).reshape(draws.shape[:-1] + (n,))
             chunks = []
             for c0 in range(0, len(seqs), epochs):
-                # `gathered` is scratch; `np.take` writes `out` directly only
-                # under mode="clip", and every index is in range.
-                gathered = _scratch("gathered", seqs[c0:c0 + epochs].shape + (2 * d,))
-                np.take(table, seqs[c0:c0 + epochs], axis=0, out=gathered, mode="clip")
-                contraction, noise = tail_products(np.swapaxes(gathered[..., :d], -1, -2),
-                                                   np.swapaxes(gathered[..., d:], -1, -2))
+                contraction, noise = _epoch_maps(table, shared, seqs[c0:c0 + epochs])
                 if single:
                     t = np.arange(1, k + 1).reshape((k,) + (1,) * (contraction.ndim - 1))
                     ys = contraction**t * y0 + eta * _geometric_factor(contraction, t) * noise
@@ -745,7 +809,7 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
                     ys = _apply_maps(contraction, noise, y)
                     y = ys[-1]
                 chunks.append(ys)
-            del draws, seqs, gathered  # scratch views are not held across a yield
+            del draws, seqs  # scratch views are not held across a yield
             for ys in chunks:
                 yield first, ys
 
@@ -758,7 +822,7 @@ def run_sgd_closed_form(p: Problem, cfg: RunConfig) -> Trajectory:
     draws of a Fisher-Yates pass, about `_CHUNK_ENTRIES // n` epochs or up to
     `_PASS_EPOCHS`, come from one read of the run's stream (the same draws
     as one generator call per epoch, see the module docstring), one pass
-    permutes them and one `tail_products` call maps each chunk of them;
+    permutes them and one `_epoch_maps` call maps each chunk of them;
     single shuffling uses the geometric closed form.  Losses are evaluated
     on the diagonal-frame iterates.
     """

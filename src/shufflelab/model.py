@@ -69,8 +69,14 @@ def check_even_n(n) -> None:
 
 
 def _check_finite(name: str, value: float) -> float:
+    """`value` as `plain_number` gives it; ValueError naming `name` if it is
+    NaN, infinite or an integer past the float range."""
     value = plain_number(name, value)
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer beyond the float range") from None
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value}")
     return value
 
@@ -222,8 +228,9 @@ def _check_construction_args(n: int, G: float, lam: float, lam_max: float):
 
 def _two_type_problem(n: int, G: float, lam: float, lam_max: float,
                       first: tuple, rest: tuple) -> Problem:
-    """The first n/2 rows take (a, b) = `first`, the rest take (a', b') = `rest`."""
-    _check_construction_args(n, G, lam, lam_max)
+    """The first n/2 rows take (a, b) = `first`, the rest take (a', b') = `rest`.
+    Each builder checks its arguments first: G/2 overflows on an integer past
+    the float range."""
     rows = (first,) * (n // 2) + (rest,) * (n // 2)
     return Problem(
         curvature_matrix=[a for a, _ in rows],
@@ -242,6 +249,7 @@ def build_ss_construction(n: int, G: float, lam: float, lam_max: float) -> Probl
     components add +(G/2) x_2 (stored b_2 = -G/2) and the rest subtract it,
     so the mean linear term vanishes, x* is the origin and F(x*) = 0.
     """
+    _check_construction_args(n, G, lam, lam_max)
     return _two_type_problem(n, G, lam, lam_max,
                              ((lam, lam_max), (0.0, -G / 2.0)),
                              ((lam, lam_max), (0.0, G / 2.0)))
@@ -257,6 +265,7 @@ def build_rr_construction(n: int, G: float, lam: float, lam_max: float) -> Probl
     Requires lam_max >= 2*lam, otherwise the mean curvature of coordinate 3
     drops below lam and F is no longer lam-strongly convex.
     """
+    _check_construction_args(n, G, lam, lam_max)
     if lam_max < 2.0 * lam:
         raise ValueError(
             "the 3-d construction needs lam_max >= 2*lam for lam-strong convexity "
@@ -274,6 +283,7 @@ def build_rr_fig1_construction(n: int, G: float, lam: float, lam_max: float) -> 
     coordinate, so the reduced problem keeps the reshuffling-specific
     dynamics while staying visually distinct from the 2-d experiment.
     """
+    _check_construction_args(n, G, lam, lam_max)
     return _two_type_problem(n, G, lam, lam_max,
                              ((lam, lam_max), (0.0, -G / 2.0)),
                              ((lam, 0.0), (0.0, G / 2.0)))

@@ -128,6 +128,18 @@ class TestOracle:
         assert exc.value.code == 2
         assert "even" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("quantity, n, message", [
+        ("beta", "7", "--n: n must be even and an integer >= 2, got 7"),
+        ("beta", "18", "--n must be even and within [2, 16] for enumeration oracles, got 18"),
+        ("perm-moment", "7", "--n: n must be even and an integer >= 2, got 7"),
+    ])
+    def test_bad_n_is_a_usage_error(self, capsys, quantity, n, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "--quantity", quantity, "--n", n])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: ") and f"error: {message}\n" in err
+
     def test_exact_loss_rejects_bad_eta(self, capsys):
         for quantity, eta, message in (("loss-rr", "nan", "eta must be finite"),
                                        ("loss-ss", "-0.5", "eta must be nonnegative")):
@@ -230,6 +242,7 @@ class TestSweepCommand:
         ({"k_values": 5}, "k_values must be a list of integers"),
         ({"seeds": "2"}, "seeds must be an integer"),
         ({"lambda": None}, "lambda must be a number"),
+        ({"G": 10**400}, "G must be finite, got an integer beyond the float range"),
     ])
     def test_malformed_plan_file_fails_cleanly(self, capsys, tmp_path, doc, named):
         plan_path = tmp_path / "plan.json"

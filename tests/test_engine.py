@@ -605,6 +605,7 @@ class TestFinalLosses:
         (0.1, 3, [2**64], "seed must fit in 64 unsigned bits"),
         (math.nan, 3, [0], "^eta must be finite, got nan$"),
         (math.inf, 3, [0], "^eta must be finite, got inf$"),
+        (10**400, 3, [0], "^eta must be finite, got an integer beyond the float range$"),
     ])
     def test_bad_input_rejected_like_run_config(self, eta, k, seeds, message):
         p = two_point_problem()
@@ -737,6 +738,115 @@ class TestTailProducts:
         P, Q = engine.tail_products(factors, b)
         assert P == 0.25
         assert Q == 1.0 * 0.25 * 2.0 - 3.0 * 2.0 + 4.0
+
+
+def python_epoch_map(factors, b):
+    """One epoch's (P, Q) per coordinate from its (n, d) factor and linear
+    rows in position order, in Python floats: the suffix products from the
+    last position down and Q summed left to right, as `tail_products`'
+    summation contract states."""
+    P, Q = [], []
+    for f_col, b_col in zip(np.asarray(factors).T.tolist(), np.asarray(b).T.tolist()):
+        s, suffix = 1.0, []
+        for f in reversed(f_col):
+            suffix.append(s)
+            s = s * f
+        acc = 0.0
+        for b_i, s_i in zip(b_col, reversed(suffix)):
+            acc = acc + b_i * s_i
+        P.append(s)
+        Q.append(acc)
+    return np.array(P), np.array(Q)
+
+
+def factor_problem(n: int, d: int, shared: bool) -> model.Problem:
+    """n components in d coordinates with distinct linear rows.  Every column
+    of curvatures is constant when `shared`; otherwise the last column
+    varies from row to row, as the 3-d construction's third one does."""
+    rng = np.random.default_rng(10 * n + d)
+    curv = np.tile(np.linspace(1.0, 3.0, d), (n, 1))
+    if not shared:
+        curv[:, -1] = rng.uniform(0.5, 3.0, n)
+    mean = curv.mean(axis=0)
+    return model.Problem(curvature_matrix=curv, linear_matrix=rng.uniform(-1.0, 1.0, (n, d)),
+                         lam=float(mean.min()), lam_max=float(mean.max()),
+                         smooth_l=float(curv.max()), grad_bound=1.0)
+
+
+def python_reference_run(p: model.Problem, scheme: Scheme, eta: float, k: int, x0, seed: int):
+    """A run's diagonal-frame iterates (k, d) from its numpy generator, one
+    epoch map at a time through `python_epoch_map`, applied as the closed
+    form applies it: P*y + eta*Q per epoch, or the geometric form under
+    single shuffling."""
+    rng = np.random.default_rng(seed)
+    factors = 1.0 - eta * p.curvature_matrix
+    y = np.array(x0, dtype=np.float64)
+    if scheme is Scheme.SINGLE_SHUFFLE:
+        seq = swap_loop_permutation(p.n, rng)
+        P, Q = python_epoch_map(factors[seq], p.linear_matrix[seq])
+        t = np.arange(1, k + 1)[:, None]
+        return P**t * y + eta * engine._geometric_factor(P, t) * Q
+    ys = []
+    for _ in range(k):
+        seq = (rng.integers(0, p.n, size=p.n) if scheme is Scheme.WITH_REPLACEMENT
+               else swap_loop_permutation(p.n, rng))
+        P, Q = python_epoch_map(factors[seq], p.linear_matrix[seq])
+        y = P * y + eta * Q
+        ys.append(y)
+    return np.array(ys)
+
+
+class TestEpochMaps:
+    """The noise sum's order is pinned: both routes of `_epoch_maps`, the
+    shared suffix products and `tail_products`, equal a left-to-right
+    Python-float sum bit for bit."""
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("n", [2, 7, 100, 501])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_epoch_maps_sum_left_to_right(self, d, n, shared):
+        p = factor_problem(n, d, shared)
+        eta = 0.9 / p.smooth_l
+        table, weights = engine._map_table(p, eta)
+        assert (weights is None) is not shared
+        factors = 1.0 - eta * p.curvature_matrix
+        rng = np.random.default_rng(n)
+        for shape in ((3, n), (2, 5, n)):  # a lone run's chunk and a block's
+            seqs = rng.integers(0, n, size=shape)
+            routes = [engine._epoch_maps(table, None, seqs)]
+            if shared:
+                routes.append(engine._epoch_maps(table, weights, seqs))
+            for contraction, noise in routes:
+                assert contraction.shape == noise.shape == shape[:-1] + (d,)
+                for idx in np.ndindex(shape[:-1]):
+                    P, Q = python_epoch_map(factors[seqs[idx]], p.linear_matrix[seqs[idx]])
+                    np.testing.assert_array_equal(contraction[idx], P)
+                    np.testing.assert_array_equal(noise[idx], Q)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_shared_factor_runs_match_python_reference(self, d, scheme):
+        # A lone run over several chunks, a block of streams (2-31 runs) and
+        # a block drawn as array expressions (32 or more).
+        p, x0 = factor_problem(100, d, True), np.linspace(1.0, -0.5, d)
+        k, eta = 400, recommended_eta(100, 400, p.lam)
+        assert k > 2 * (engine._CHUNK_ENTRIES // p.n)
+        assert engine._map_table(p, eta)[1] is not None
+        cfg = RunConfig(scheme, eta, k, x0, 2021)
+        want = python_reference_run(p, scheme, eta, k, x0, cfg.seed)
+        np.testing.assert_array_equal(run_sgd_closed_form(p, cfg).points, want)
+        if d >= 2 and scheme is not Scheme.SINGLE_SHUFFLE:
+            # at d = 1 the reference's `sequence_map` sums contiguous rows
+            np.testing.assert_array_equal(per_epoch_closed_form(p, cfg)[0], want)
+        p, x0 = factor_problem(10, d, True), np.linspace(1.0, -0.5, d)
+        k, eta = 20, recommended_eta(10, 20, p.lam)
+        for count in (1, 5, 40):
+            seeds = [TestSeedRule.first_word(13, (r,)) for r in range(count)]
+            assert len(seeds) * k * p.n <= engine._CHUNK_ENTRIES  # one block
+            want = [model.objective(p, python_reference_run(p, scheme, eta, k, x0, s)[-1])
+                    for s in seeds]
+            np.testing.assert_array_equal(engine.final_losses(p, scheme, eta, k, x0, seeds),
+                                          want)
 
 
 class TestScratch:

@@ -87,6 +87,9 @@ class TestConstructions:
         (float("inf"), 1.0, 4.0, "^G must be finite, got inf$"),
         (1.0, float("nan"), 4.0, "^lam must be finite, got nan$"),
         (1.0, 1.0, float("inf"), "^lam_max must be finite, got inf$"),
+        # past the float range, where math.isfinite raises OverflowError
+        (1.0, 1.0, 10**400, "^lam_max must be finite, got an integer beyond the float range$"),
+        (-10**400, 1.0, 4.0, "^G must be finite, got an integer beyond the float range$"),
     ])
     def test_non_finite_parameters_rejected(self, build, G, lam, lam_max, message):
         with pytest.raises(ValueError, match=message):
