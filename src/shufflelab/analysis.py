@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -361,12 +361,9 @@ def mc_expected_loss(p: Problem, scheme: "_engine.Scheme", eta: float, k: int, x
     return float(np.mean(losses)), float(np.std(losses, ddof=1) / math.sqrt(runs))
 
 
-ORACLE_CSV_HEADER = "quantity,n,eta_lambda_max,exact,mc_mean,mc_se"
-
-
 @dataclass(frozen=True)
 class OracleRow:
-    """One exported oracle evaluation; MC fields stay empty for exact runs."""
+    """One `oracle --out` row; MC fields stay empty for exact runs."""
 
     quantity: str
     n: int
@@ -374,16 +371,3 @@ class OracleRow:
     exact: Optional[float] = None
     mc_mean: Optional[float] = None
     mc_se: Optional[float] = None
-
-    def as_csv(self) -> str:
-        def fmt(v):
-            return "" if v is None else repr(float(v))
-
-        return (f"{self.quantity},{self.n},{self.eta_lambda_max!r},"
-                f"{fmt(self.exact)},{fmt(self.mc_mean)},{fmt(self.mc_se)}")
-
-
-def write_oracle_csv(rows: Sequence[OracleRow], path) -> None:
-    lines = [ORACLE_CSV_HEADER] + [r.as_csv() for r in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

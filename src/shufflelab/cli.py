@@ -38,7 +38,7 @@ def _add_problem_flags(sub, include_scheme: bool = True):
     sub.add_argument("--x0-preset", choices=model.X0_PRESETS, default="fig1",
                      help="named initialization point")
     if include_scheme:
-        sub.add_argument("--scheme", choices=("wr", "ss", "rr"), default="rr",
+        sub.add_argument("--scheme", choices=experiments.SCHEME_ORDER, default="rr",
                          help="sampling scheme")
 
 
@@ -206,9 +206,8 @@ def _cmd_oracle(args, parser) -> int:
             construction, args.x0_preset, args.n, args.G, args.lam, args.lam_max
         )
         eta = _resolve_eta(args, parser, args.n, args.k, args.lam)
-        scheme = (engine.Scheme.SINGLE_SHUFFLE if q == "loss-ss"
-                  else engine.Scheme.RANDOM_RESHUFFLE)
-        label = "single shuffling" if q == "loss-ss" else "random reshuffling"
+        scheme = engine.Scheme.from_tag(q.removeprefix("loss-"))
+        label = experiments.SCHEME_LABELS[scheme.value]
         if args.method == "exact":
             if q == "loss-ss":
                 value = analysis.expected_loss_ss_exact(p, eta, args.k, x0)
@@ -223,7 +222,7 @@ def _cmd_oracle(args, parser) -> int:
             row = analysis.OracleRow(q, args.n, eta * args.lam_max,
                                      mc_mean=mean, mc_se=se)
     if args.out and row is not None:
-        analysis.write_oracle_csv([row], args.out)
+        experiments.emit_csv([row], analysis.OracleRow, args.out)
         print(f"wrote {args.out}")
     return 0
 

@@ -8,10 +8,10 @@ seeds derive from the plan's seed_base through numpy SeedSequence spawn keys
 (scheme_code, k, seed_index), with the scheme code dropped when couple_rng
 asks for shared randomness across schemes.
 
-The dataclasses are the file formats: a plan document's keys are `SweepPlan`'s
-fields (`lambda`, `lambda_max` for `lam`, `lam_max`), those without a default
-required; a records CSV's `# plan=` line is one, reproducing the sweep byte
-for byte; the CSV columns are `SweepRecord`'s and `SweepSummary`'s fields.
+The dataclasses are the file formats: a plan document is `SweepPlan`'s fields
+under `model`'s one document rule, and a records CSV's `# plan=` line is one,
+reproducing the sweep byte for byte; `emit_csv`, the one CSV writer, takes its
+columns from a row type's fields (`SweepRecord`, `SweepSummary`, `OracleRow`).
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
+from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from . import bounds, engine, model
 from .model import is_integer
 
 LOG10_FLOOR = 1e-300
-SCHEME_ORDER = ("wr", "ss", "rr")
+# the scheme tags in `engine.Scheme`'s order; a tag's index is its spawn-key code
+SCHEME_ORDER = tuple(s.value for s in engine.Scheme)
 
 SCHEME_COLORS = {"wr": "#1f77b4", "ss": "#d62728", "rr": "#2ca02c"}
 SCHEME_LABELS = {
@@ -56,7 +57,7 @@ class SweepPlan:
 
     def __post_init__(self):
         for name in ("G", "lam", "lam_max"):
-            value = model.plain_number(_PLAN_DOC_KEYS.get(name, name), getattr(self, name))
+            value = model.plain_number(model.doc_key(name), getattr(self, name))
             object.__setattr__(self, name, value)
         try:
             k_values = tuple(self.k_values)
@@ -93,30 +94,12 @@ class SweepPlan:
         return self.eta_rule
 
     def to_json_dict(self) -> dict:
-        doc = {_PLAN_DOC_KEYS.get(name, name): value for name, value in asdict(self).items()}
-        doc["k_values"] = list(self.k_values)
-        return doc
-
-
-# the plan document's key for each field it does not name as is
-_PLAN_DOC_KEYS = {"lam": "lambda", "lam_max": "lambda_max"}
+        return model.to_document(self)
 
 
 def plan_from_json_dict(doc: dict) -> SweepPlan:
-    """The plan a `SweepPlan.to_json_dict` document describes.  A document
-    that is not an object, lacks a key for a field without a default, or has
-    a key for no field raises ValueError naming those keys; `SweepPlan`
-    checks the values."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"a plan must be a JSON object, got {type(doc).__name__}")
-    by_key = {_PLAN_DOC_KEYS.get(f.name, f.name): f for f in fields(SweepPlan)}
-    missing = [key for key, f in by_key.items() if f.default is MISSING and key not in doc]
-    if missing:
-        raise ValueError(f"plan lacks required keys: {', '.join(missing)}")
-    unknown = sorted(set(doc) - set(by_key))
-    if unknown:
-        raise ValueError(f"unknown plan keys: {', '.join(unknown)}")
-    return SweepPlan(**{by_key[key].name: value for key, value in doc.items()})
+    """The plan a `SweepPlan.to_json_dict` document describes."""
+    return model.from_document(SweepPlan, doc, "plan")
 
 
 def desk_plan(construction: str, seed_base: int = 0) -> SweepPlan:
@@ -159,15 +142,11 @@ def build_instance(construction: str, x0_preset: str, n: int, G: float,
     variant, matching the experiment's use of only the first and third
     coordinates.
     """
+    x0 = model.preset_x0(construction, x0_preset, G, lam, lam_max)  # checks the names first
     if construction == "ss":
-        build = model.build_ss_construction
-    elif construction == "rr":
-        build = (model.build_rr_fig1_construction if x0_preset == "fig1"
-                 else model.build_rr_construction)
-    else:
-        raise ValueError("construction must be 'ss' or 'rr'")
-    return (build(n, G, lam, lam_max),
-            model.preset_x0(construction, x0_preset, G, lam, lam_max))
+        return model.build_ss_construction(n, G, lam, lam_max), x0
+    build = model.build_rr_fig1_construction if x0_preset == "fig1" else model.build_rr_construction
+    return build(n, G, lam, lam_max), x0
 
 
 def resolve_problem(plan: SweepPlan) -> Tuple[model.Problem, np.ndarray]:
@@ -321,23 +300,29 @@ def _columns(row_type: type) -> Tuple[List[str], list]:
     return [f.name for f in fields(row_type)], [hints[f.name] for f in fields(row_type)]
 
 
-def _emit_csv(rows: Sequence, row_type: type, path, plan: Optional[SweepPlan],
-              *meta: str) -> None:
-    """Write the `#` lines (the plan when given, the log10 floor, the RNG id,
-    then `meta`), a header of `row_type`'s field names and one line per row:
-    float cells by repr, the others by str."""
-    lines = [] if plan is None else ["# plan=" + json.dumps(plan.to_json_dict(), sort_keys=True)]
-    lines += [f"# log10_floor={LOG10_FLOOR!r}", f"# rng_algorithm_id={engine.RNG_ALGORITHM_ID}",
-              *meta]
+def emit_csv(rows: Sequence, row_type: type, path, comments: Sequence[str] = ()) -> None:
+    """Write the caller's `#` lines, a header of `row_type`'s field names and
+    one line per row: float cells by repr, None as an empty cell, the others
+    by str (a Python float's str is its repr)."""
     names, kinds = _columns(row_type)
     row_format = ",".join("%r" if kind is float else "%s" for kind in kinds)
-    lines += [",".join(names), *(row_format % cells for cells in map(attrgetter(*names), rows))]
+    cells = map(attrgetter(*names), rows)
+    if any(type(None) in get_args(kind) for kind in kinds):
+        cells = (tuple("" if cell is None else cell for cell in row) for row in cells)
+    lines = [*comments, ",".join(names), *(row_format % row for row in cells)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _sweep_comments(plan: Optional[SweepPlan], *extra: str) -> List[str]:
+    """A sweep CSV's `#` lines: the plan if given, log10 floor, RNG id, `extra`."""
+    lines = [] if plan is None else ["# plan=" + json.dumps(plan.to_json_dict(), sort_keys=True)]
+    return [*lines, f"# log10_floor={LOG10_FLOOR!r}",
+            f"# rng_algorithm_id={engine.RNG_ALGORITHM_ID}", *extra]
+
+
 def _read_csv(path, row_type: type) -> list:
-    """The rows of a CSV that `_emit_csv` wrote for `row_type`, skipping blank
+    """The rows of a CSV that `emit_csv` wrote for `row_type`, skipping blank
     and `#` lines.  ValueError on a missing or other header, on a row with
     another cell count, or on a cell its field's type cannot parse."""
     names, kinds = _columns(row_type)
@@ -356,12 +341,12 @@ def _read_csv(path, row_type: type) -> list:
 def emit_records_csv(records: Sequence[SweepRecord], path,
                      plan: Optional[SweepPlan] = None) -> None:
     clamped = sum(1 for r in records if r.final_loss < LOG10_FLOOR)
-    _emit_csv(records, SweepRecord, path, plan, f"# clamped_rows={clamped}")
+    emit_csv(records, SweepRecord, path, _sweep_comments(plan, f"# clamped_rows={clamped}"))
 
 
 def emit_summaries_csv(summaries: Sequence[SweepSummary], path,
                        plan: Optional[SweepPlan] = None) -> None:
-    _emit_csv(summaries, SweepSummary, path, plan)
+    emit_csv(summaries, SweepSummary, path, _sweep_comments(plan))
 
 
 def read_records_csv(path) -> List[SweepRecord]:

@@ -8,13 +8,17 @@ iterates, only the attained optimum value.
 
 Sign convention: literal "+ (G/2) x" terms in the two lower-bound
 constructions are stored as b = -G/2 (the minus-b parameterization above).
+
+A JSON document (a `Problem`'s, a sweep plan's) is its dataclass's init fields,
+`lam` and `lam_max` keyed `lambda` and `lambda_max`: `from_document` checks
+the keys and leaves every value to the dataclass.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -23,7 +27,15 @@ ORTHOGONALITY_TOL = 1e-12
 INVARIANT_TOL = 1e-9
 
 
-def _frozen_array(values) -> np.ndarray:
+def _frozen_array(name: str, values) -> np.ndarray:
+    """`values` as a frozen float64 copy; ValueError naming `name` unless
+    they are a rectangular array of numbers (not bools)."""
+    try:
+        numeric = np.asarray(values).dtype.kind in "iuf"
+    except ValueError:  # a ragged nesting
+        numeric = False
+    if not numeric:
+        raise ValueError(f"{name} must be a rectangular array of numbers")
     arr = np.array(values, dtype=np.float64)
     arr.flags.writeable = False
     return arr
@@ -32,7 +44,8 @@ def _frozen_array(values) -> np.ndarray:
 def _frozen_rows(curvatures, linear) -> tuple:
     """Frozen copies of curvature and linear data: equal 2-D shapes, finite
     entries, nonnegative curvatures."""
-    curvatures, linear = _frozen_array(curvatures), _frozen_array(linear)
+    curvatures = _frozen_array("curvature_matrix", curvatures)
+    linear = _frozen_array("linear_matrix", linear)
     if curvatures.ndim != 2 or linear.ndim != 2:
         raise ValueError("curvature and linear data must be 2-D")
     if curvatures.shape != linear.shape:
@@ -81,6 +94,39 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
+# a document's key for each field it does not name as is
+_DOC_KEYS = {"lam": "lambda", "lam_max": "lambda_max"}
+
+
+def doc_key(name: str) -> str:
+    """The document key of the field `name`."""
+    return _DOC_KEYS.get(name, name)
+
+
+def to_document(obj) -> dict:
+    """The JSON document of a dataclass: its init fields under `doc_key`,
+    arrays and tuples as lists."""
+    values = ((doc_key(f.name), getattr(obj, f.name)) for f in fields(obj) if f.init)
+    return {key: np.asarray(v).tolist() if isinstance(v, (np.ndarray, tuple)) else v
+            for key, v in values}
+
+
+def from_document(cls: type, doc, what: str):
+    """The `cls` a `to_document` document describes.  ValueError naming the
+    `what` unless an object, or naming its missing or unknown keys; `cls`
+    checks the values."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a {what} must be a JSON object, got {type(doc).__name__}")
+    by_key = {doc_key(f.name): f for f in fields(cls) if f.init}
+    missing = [key for key, f in by_key.items() if f.default is MISSING and key not in doc]
+    if missing:
+        raise ValueError(f"{what} lacks required keys: {', '.join(missing)}")
+    unknown = sorted(set(doc) - set(by_key))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+    return cls(**{by_key[key].name: value for key, value in doc.items()})
+
+
 @dataclass(frozen=True)
 class Minimizer:
     point: np.ndarray
@@ -123,12 +169,11 @@ class Problem:
         if self.grad_bound < 0:
             raise ValueError("grad_bound must be nonnegative")
         if self.conjugation is not None:
-            o = np.array(self.conjugation, dtype=np.float64)
+            o = _frozen_array("conjugation", self.conjugation)
             if o.shape != (self.dim, self.dim):
                 raise ValueError("conjugation must be dim x dim")
             if not _is_orthogonal(o):
                 raise ValueError("conjugation matrix is not orthogonal")
-            o.flags.writeable = False
             object.__setattr__(self, "conjugation", o)
         for name, matrix in (("mean_curvature", cm), ("mean_linear", lm)):
             mean = matrix.mean(axis=0)
@@ -172,24 +217,10 @@ class Problem:
         if self.conjugation is not None:
             point = self.conjugation @ point
         value = objective(self, point)
-        return Minimizer(point=_frozen_array(point), value=value)
+        return Minimizer(point=_frozen_array("point", point), value=value)
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "n": self.n,
-            "dim": self.dim,
-            "lambda": self.lam,
-            "lambda_max": self.lam_max,
-            "smooth_l": self.smooth_l,
-            "grad_bound": self.grad_bound,
-            "components": [
-                {"curvatures": a.tolist(), "linear": b.tolist()}
-                for a, b in zip(self.curvature_matrix, self.linear_matrix)
-            ],
-        }
-        if self.conjugation is not None:
-            doc["conjugation"] = self.conjugation.tolist()
-        return doc
+        return to_document(self)
 
 
 def _is_orthogonal(o: np.ndarray) -> bool:
@@ -197,25 +228,19 @@ def _is_orthogonal(o: np.ndarray) -> bool:
 
 
 def problem_from_json_dict(doc: dict) -> Problem:
-    """The `Problem` a JSON document describes; `Problem` checks the values."""
-    rows = doc["components"]
-    if len(rows) != doc["n"]:
-        raise ValueError("component count does not match n")
-    if any(np.shape(r[key]) != (doc["dim"],) for r in rows for key in ("curvatures", "linear")):
-        raise ValueError("all components must have dimension dim")
-    return Problem(
-        curvature_matrix=[r["curvatures"] for r in rows],
-        linear_matrix=[r["linear"] for r in rows],
-        lam=doc["lambda"],
-        lam_max=doc["lambda_max"],
-        smooth_l=doc["smooth_l"],
-        grad_bound=doc["grad_bound"],
-        conjugation=doc.get("conjugation"),
-    )
+    """The `Problem` a `Problem.to_json_dict` document describes."""
+    return from_document(Problem, doc, "problem")
 
 
-def _check_construction_args(n: int, G: float, lam: float, lam_max: float):
-    check_even_n(n)
+def check_construction(construction) -> None:
+    """Reject a construction name other than "ss" or "rr"."""
+    if not (isinstance(construction, str) and construction in ("ss", "rr")):
+        raise ValueError(f"construction must be 'ss' or 'rr', got {construction!r}")
+
+
+def _check_scale(G: float, lam: float, lam_max: float) -> None:
+    """The constructions' and presets' rule for G, lam and lam_max: finite
+    numbers with G >= 0, lam > 0 and lam_max >= lam."""
     for name, value in (("G", G), ("lam", lam), ("lam_max", lam_max)):
         _check_finite(name, value)
     if G < 0:
@@ -249,7 +274,8 @@ def build_ss_construction(n: int, G: float, lam: float, lam_max: float) -> Probl
     components add +(G/2) x_2 (stored b_2 = -G/2) and the rest subtract it,
     so the mean linear term vanishes, x* is the origin and F(x*) = 0.
     """
-    _check_construction_args(n, G, lam, lam_max)
+    check_even_n(n)
+    _check_scale(G, lam, lam_max)
     return _two_type_problem(n, G, lam, lam_max,
                              ((lam, lam_max), (0.0, -G / 2.0)),
                              ((lam, lam_max), (0.0, G / 2.0)))
@@ -265,7 +291,8 @@ def build_rr_construction(n: int, G: float, lam: float, lam_max: float) -> Probl
     Requires lam_max >= 2*lam, otherwise the mean curvature of coordinate 3
     drops below lam and F is no longer lam-strongly convex.
     """
-    _check_construction_args(n, G, lam, lam_max)
+    check_even_n(n)
+    _check_scale(G, lam, lam_max)
     if lam_max < 2.0 * lam:
         raise ValueError(
             "the 3-d construction needs lam_max >= 2*lam for lam-strong convexity "
@@ -283,7 +310,8 @@ def build_rr_fig1_construction(n: int, G: float, lam: float, lam_max: float) -> 
     coordinate, so the reduced problem keeps the reshuffling-specific
     dynamics while staying visually distinct from the 2-d experiment.
     """
-    _check_construction_args(n, G, lam, lam_max)
+    check_even_n(n)
+    _check_scale(G, lam, lam_max)
     return _two_type_problem(n, G, lam, lam_max,
                              ((lam, lam_max), (0.0, -G / 2.0)),
                              ((lam, 0.0), (0.0, G / 2.0)))
@@ -403,7 +431,7 @@ def conjugate(p: Problem, O) -> Problem:
     Metadata is unchanged: orthogonal maps are isometries, so eigenvalue and
     gradient-norm bounds carry over.
     """
-    O = np.array(O, dtype=np.float64)
+    O = _frozen_array("O", O)
     if O.shape != (p.dim, p.dim):
         raise ValueError(f"O has shape {O.shape}, expected ({p.dim}, {p.dim})")
     if not _is_orthogonal(O):
@@ -424,6 +452,8 @@ def preset_x0(construction: str, preset: str, G: float, lam: float, lam_max: flo
     "fig1": (-G/(2 lam), -G/(2 lam_max)) -- the experiment initialization;
     for the "rr" construction this belongs to its 2-d reduced variant.
     """
+    check_construction(construction)
+    _check_scale(G, lam, lam_max)
     if preset == "worst-case":
         dim = 2 if construction == "ss" else 3
         x0 = np.zeros(dim)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -159,6 +160,14 @@ class TestOracle:
                 code, out, _ = run_cli(capsys, "oracle", "--quantity", quantity, "--n", "10",
                                        "--k", "3", "--eta", "1.0", "--lambda-max", "4")
             assert code == 0 and "E[F(x_k)]" in out
+
+    @pytest.mark.parametrize("quantity, label", [("loss-ss", "single shuffling"),
+                                                 ("loss-rr", "random reshuffling")])
+    def test_loss_labels_are_the_scheme_labels(self, capsys, quantity, label):
+        assert experiments.SCHEME_LABELS[quantity.removeprefix("loss-")] == label
+        code, out, _ = run_cli(capsys, "oracle", "--quantity", quantity, "--n", "10",
+                               "--k", "3", "--auto-eta", "--lambda-max", "4")
+        assert code == 0 and out.startswith(f"E[F(x_k)] {label} = ")
 
     def test_perm_moment_is_not_capped(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--quantity", "perm-moment",
@@ -338,6 +347,7 @@ class TestOracleCsvExport:
                              "--eta-lmax", "0.5", "--out", str(out))
         assert code == 0
         lines = out.read_text().splitlines()
+        assert lines[0].split(",") == [f.name for f in dataclasses.fields(analysis.OracleRow)]
         assert lines[0] == "quantity,n,eta_lambda_max,exact,mc_mean,mc_se"
         assert lines[1] == "beta,2,0.5,0.25,,"
 

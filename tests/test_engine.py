@@ -923,6 +923,14 @@ class TestSeedRule:
                             base, key
                         )
 
+    def test_scheme_codes_are_pinned(self):
+        # a scheme's code is in the spawn key of every sweep seed, so a reorder
+        # of engine.Scheme would change every record: wr 0, ss 1, rr 2
+        assert experiments.SCHEME_ORDER == ("wr", "ss", "rr")
+        plan = experiments.desk_plan("ss", seed_base=101)
+        for tag, code in (("wr", 0), ("ss", 1), ("rr", 2)):
+            assert experiments.run_seed_for(plan, tag, 10, 3) == self.first_word(101, (code, 10, 3))
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
             engine.derive_seed(-1, (0,))

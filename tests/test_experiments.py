@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -7,11 +8,13 @@ import numpy as np
 import pytest
 
 from shufflelab import experiments, model
+from shufflelab.analysis import OracleRow
 from shufflelab.experiments import (
     SweepPlan,
     SweepSummary,
     build_instance,
     desk_plan,
+    emit_csv,
     emit_records_csv,
     emit_summaries_csv,
     emit_svg,
@@ -129,6 +132,11 @@ class TestBuildInstance:
         for construction in ("ss", "rr"):
             p, x0 = build_instance(construction, "fig1", 8, 1.0, 1.0, 4.0)
             assert np.linalg.norm(model.gradient(p, x0)) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("preset", model.X0_PRESETS)
+    def test_unknown_construction(self, preset):
+        with pytest.raises(ValueError, match="^construction must be 'ss' or 'rr', got 'bogus'$"):
+            build_instance("bogus", preset, 8, 1.0, 1.0, 4.0)
 
 
 class TestRunSweep:
@@ -256,6 +264,17 @@ class TestCsv:
         emit_records_csv(run_sweep(plan, jobs=1)[0], a, plan)
         emit_records_csv(run_sweep(plan, jobs=1)[0], b, plan)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_oracle_rows_take_their_fields_and_leave_none_empty(self, tmp_path):
+        path = tmp_path / "oracle.csv"
+        emit_csv([OracleRow("beta", 2, 0.5, exact=0.25),
+                  OracleRow("loss-rr", 6, 0.04, mc_mean=1e-3, mc_se=2e-05),
+                  OracleRow("keyup", 4, 0.1)], OracleRow, path, ["# a comment"])
+        header = ",".join(f.name for f in dataclasses.fields(OracleRow))
+        assert header == "quantity,n,eta_lambda_max,exact,mc_mean,mc_se"
+        assert path.read_text() == "\n".join([
+            "# a comment", header, "beta,2,0.5,0.25,,", "loss-rr,6,0.04,,0.001,2e-05",
+            "keyup,4,0.1,,,"]) + "\n"
 
     def test_log10_clamp_floor(self):
         rec = experiments.SweepRecord("wr", 1, 0, 0.0, experiments._clamped_log10(0.0))

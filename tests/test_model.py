@@ -1,9 +1,11 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
-from shufflelab import model
+from shufflelab import experiments, model
 from shufflelab.model import (
     Problem,
     build_rr_construction,
@@ -81,7 +83,13 @@ class TestConstructions:
         with pytest.raises(ValueError):
             build_rr_construction(4, 1.0, 1.0, 1.5)
 
-    @pytest.mark.parametrize("build", [build_ss_construction, build_rr_construction])
+    # the builders and the presets share one rule for G, lam and lam_max
+    @pytest.mark.parametrize("build", [
+        build_ss_construction,
+        build_rr_construction,
+        lambda n, *scale: preset_x0("ss", "fig1", *scale),
+        lambda n, *scale: preset_x0("rr", "worst-case", *scale),
+    ], ids=["ss", "rr", "preset-fig1", "preset-worst-case"])
     @pytest.mark.parametrize("G, lam, lam_max, message", [
         (float("nan"), 1.0, 4.0, "^G must be finite, got nan$"),
         (float("inf"), 1.0, 4.0, "^G must be finite, got inf$"),
@@ -90,8 +98,14 @@ class TestConstructions:
         # past the float range, where math.isfinite raises OverflowError
         (1.0, 1.0, 10**400, "^lam_max must be finite, got an integer beyond the float range$"),
         (-10**400, 1.0, 4.0, "^G must be finite, got an integer beyond the float range$"),
+        (10**400, 1.0, 4.0, "^G must be finite, got an integer beyond the float range$"),
+        (1.0, 0.0, 4.0, "^lam must be positive$"),
+        (1.0, -1.0, 4.0, "^lam must be positive$"),
+        (-1.0, 1.0, 4.0, "^G must be nonnegative$"),
+        ("1", 1.0, 4.0, "^G must be a number, got '1'$"),
+        (1.0, 2.0, 1.0, "^lam_max=1.0 must be >= lam=2.0$"),
     ])
-    def test_non_finite_parameters_rejected(self, build, G, lam, lam_max, message):
+    def test_bad_scale_parameters_rejected(self, build, G, lam, lam_max, message):
         with pytest.raises(ValueError, match=message):
             build(4, G, lam, lam_max)
 
@@ -222,6 +236,11 @@ class TestConjugation:
         with pytest.raises(ValueError):
             conjugate(p, np.array([[1.0, 0.1], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("O", [[[1.0, 0.0], [0.0]], "x"])
+    def test_ragged_or_non_numeric_rotation_named(self, O):
+        with pytest.raises(ValueError, match="^O must be a rectangular array of numbers$"):
+            conjugate(build_ss_construction(4, 1.0, 1.0, 2.0), O)
+
     def test_dense_matrices_match_gradient(self):
         p = conjugate(build_ss_construction(4, 1.0, 1.0, 2.0), rotation(1.1))
         x = np.array([0.4, -0.2])
@@ -235,47 +254,112 @@ class TestSerialization:
     def test_round_trip(self):
         p = build_rr_construction(4, 1.0, 1.0, 2.0)
         doc = json.loads(json.dumps(p.to_json_dict()))
+        assert doc["conjugation"] is None
         q = model.problem_from_json_dict(doc)
-        assert q.n == p.n and q.dim == p.dim
-        np.testing.assert_array_equal(q.curvature_matrix, p.curvature_matrix)
-        np.testing.assert_array_equal(q.linear_matrix, p.linear_matrix)
-        assert q.lam == p.lam and q.lam_max == p.lam_max
-        assert q.smooth_l == p.smooth_l and q.grad_bound == p.grad_bound
+        assert q.conjugation is None and q.to_json_dict() == p.to_json_dict()
 
     def test_round_trip_with_conjugation(self):
         p = conjugate(build_ss_construction(4, 1.0, 1.0, 2.0), rotation(0.25))
         q = model.problem_from_json_dict(json.loads(json.dumps(p.to_json_dict())))
+        np.testing.assert_array_equal(q.conjugation, p.conjugation)
+        np.testing.assert_array_equal(q.curvature_matrix, p.curvature_matrix)
         rng = np.random.default_rng(6)
         for _ in range(5):
             x = rng.uniform(-1, 1, size=2)
             assert objective(q, x) == objective(p, x)
 
-    def test_schema_keys(self):
+    def test_schema_keys_are_the_init_fields(self):
         doc = build_ss_construction(4, 1.0, 1.0, 2.0).to_json_dict()
-        assert set(doc) == {"n", "dim", "lambda", "lambda_max", "smooth_l",
-                            "grad_bound", "components"}
-        assert set(doc["components"][0]) == {"curvatures", "linear"}
+        assert set(doc) == {model.doc_key(f.name) for f in dataclasses.fields(Problem) if f.init}
+        assert set(doc) == {"curvature_matrix", "linear_matrix", "lambda", "lambda_max",
+                            "smooth_l", "grad_bound", "conjugation"}
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc["components"].pop(), "component count does not match n"),
-        (lambda doc: doc["components"][1]["linear"].append(0.0),
-         "all components must have dimension dim"),
-        (lambda doc: doc["components"][2]["curvatures"].pop(),
-         "all components must have dimension dim"),
-        (lambda doc: doc["components"][0]["curvatures"].__setitem__(0, -0.1),
+        (lambda doc: doc["linear_matrix"].pop(),
+         "curvature and linear data must have equal shapes"),
+        (lambda doc: doc["linear_matrix"][1].append(0.0),
+         "linear_matrix must be a rectangular array of numbers"),
+        (lambda doc: doc["curvature_matrix"][2].pop(),
+         "curvature_matrix must be a rectangular array of numbers"),
+        (lambda doc: doc["curvature_matrix"][0].__setitem__(0, -0.1),
          "component curvatures must be nonnegative"),
-        (lambda doc: doc["components"][1]["linear"].__setitem__(0, float("nan")),
+        (lambda doc: doc["linear_matrix"][1].__setitem__(0, float("nan")),
          "curvature and linear data must be finite"),
-        (lambda doc: doc["components"][3]["curvatures"].__setitem__(1, float("inf")),
+        (lambda doc: doc["curvature_matrix"][3].__setitem__(1, float("inf")),
          "curvature and linear data must be finite"),
         (lambda doc: doc.__setitem__("lambda", None), "lam must be a number, got None"),
-    ])
-    def test_reader_rejects_malformed_documents(self, edit, message):
+    ], ids=["row-count", "ragged-linear", "ragged-curvature", "negative-curvature",
+            "nan-linear", "inf-curvature", "null-lambda"])
+    def test_reader_leaves_values_to_problem(self, edit, message):
         doc = build_rr_construction(4, 1.0, 1.0, 2.0).to_json_dict()
         model.problem_from_json_dict(doc)
         edit(doc)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             model.problem_from_json_dict(doc)
+
+    def test_old_row_schema_names_its_keys(self):
+        old = {"n": 2, "dim": 1, "lambda": 1.0, "lambda_max": 1.0, "smooth_l": 1.0,
+               "grad_bound": 1.0, "components": [{"curvatures": [1.0], "linear": [0.0]}] * 2}
+        with pytest.raises(ValueError,
+                           match="^problem lacks required keys: curvature_matrix, linear_matrix$"):
+            model.problem_from_json_dict(old)
+
+
+def _plan_document() -> dict:
+    return experiments.desk_plan("rr").to_json_dict()
+
+
+def _problem_document() -> dict:
+    return conjugate(build_rr_construction(4, 1.0, 1.0, 2.0), np.eye(3)).to_json_dict()
+
+
+# (document, reader, the reader's name for it, keys that are not its fields)
+DOCUMENTS = [
+    pytest.param(_plan_document, experiments.plan_from_json_dict, "plan",
+                 ("components", "dim", "extra", "mean_curvature"), id="plan"),
+    pytest.param(_problem_document, model.problem_from_json_dict, "problem",
+                 ("components", "dim", "extra", "mean_curvature", "n"), id="problem"),
+]
+
+
+@pytest.mark.parametrize("make, read, what, unknown", DOCUMENTS)
+class TestDocumentKeys:
+    def test_round_trip(self, make, read, what, unknown):
+        doc = json.loads(json.dumps(make()))
+        assert read(doc).to_json_dict() == doc
+
+    @pytest.mark.parametrize("doc, kind", [([], "list"), (None, "NoneType"), ("x", "str")])
+    def test_not_an_object(self, make, read, what, unknown, doc, kind):
+        with pytest.raises(ValueError, match=f"^a {what} must be a JSON object, got {kind}$"):
+            read(doc)
+
+    def test_missing_key_named(self, make, read, what, unknown):
+        required = {"plan": ["construction", "n", "G", "lambda", "lambda_max", "k_values",
+                             "seeds"],
+                    "problem": ["curvature_matrix", "linear_matrix", "lambda", "lambda_max",
+                                "smooth_l", "grad_bound"]}[what]
+        for key in required:
+            doc = make()
+            del doc[key]
+            with pytest.raises(ValueError, match=f"^{what} lacks required keys: {key}$"):
+                read(doc)
+        doc = make()
+        for key in required[:2]:
+            del doc[key]
+        with pytest.raises(ValueError, match=f"^{what} lacks required keys: "
+                                             f"{required[0]}, {required[1]}$"):
+            read(doc)
+
+    def test_unknown_keys_named(self, make, read, what, unknown):
+        for key in unknown:
+            doc = make()
+            doc[key] = 1
+            with pytest.raises(ValueError, match=f"^unknown {what} keys: {key}$"):
+                read(doc)
+        doc = make()
+        doc.update(dict.fromkeys(unknown, 1))
+        with pytest.raises(ValueError, match=f"^unknown {what} keys: {', '.join(unknown)}$"):
+            read(doc)
 
 
 class TestPresets:
@@ -293,6 +377,13 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             preset_x0("ss", "center", 1.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("preset", model.X0_PRESETS)
+    @pytest.mark.parametrize("construction", ["bogus", "", None, ["ss"]])
+    def test_unknown_construction(self, preset, construction):
+        message = f"^construction must be 'ss' or 'rr', got {re.escape(repr(construction))}$"
+        with pytest.raises(ValueError, match=message):
+            preset_x0(construction, preset, 1.0, 1.0, 2.0)
 
 
 class TestInvariants:
@@ -339,6 +430,25 @@ class TestInvariants:
         data[field] = [[value], [1.0]]
         with pytest.raises(ValueError, match="^curvature and linear data must be finite$"):
             Problem(**data, lam=1.0, lam_max=1.0, smooth_l=1.0, grad_bound=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("curvature_matrix", [[1.0, 2.0], [1.0]]),
+        ("curvature_matrix", "x"),
+        ("curvature_matrix", None),
+        ("linear_matrix", [[0.0, 0.0], ["x", 0.0]]),
+        ("conjugation", [[1.0, 0.0], [0.0]]),
+        ("conjugation", "x"),
+        ("conjugation", [[True, False], [False, True]]),
+    ])
+    def test_problem_names_a_ragged_or_non_numeric_matrix(self, field, value):
+        p = build_ss_construction(2, 1.0, 1.0, 2.0)
+        message = f"^{field} must be a rectangular array of numbers$"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(p, **{field: value})
+        doc = json.loads(json.dumps(p.to_json_dict()))
+        doc[field] = value
+        with pytest.raises(ValueError, match=message):
+            model.problem_from_json_dict(doc)
 
     def test_problem_is_immutable(self):
         p = build_ss_construction(4, 1.0, 1.0, 2.0)
