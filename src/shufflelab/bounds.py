@@ -10,15 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import model
 
-THEOREM_IDS = ("SS-LOWER", "RR-LOWER", "SS-UPPER", "RR-UPPER", "WR-BASELINE")
 # failure probability of the explicit high-probability forms
 DEFAULT_DELTA = 0.05
 
 
 @dataclass(frozen=True)
 class BoundSpec:
-    """A named rate curve at its default constants (shape only)."""
+    """A rate curve at its default constants (shape only), named by its id in `_RATES`."""
 
     theorem_id: str
 
@@ -27,20 +27,12 @@ class BoundSpec:
             raise ValueError(f"theorem_id must be one of {THEOREM_IDS}")
 
     def evaluate(self, n: int, k: int, G: float, lam: float, lam_max: float) -> float:
-        fn = {
-            "SS-LOWER": ss_lower,
-            "RR-LOWER": rr_lower,
-            "SS-UPPER": ss_upper,
-            "RR-UPPER": rr_upper,
-        }.get(self.theorem_id)
-        if fn is None:
-            return wr_baseline(n, k, G, lam)
-        return fn(n, k, G, lam, lam_max)
+        return _RATES[self.theorem_id](n, k, G, lam, lam_max)
 
 
 def _check_positive(**kwargs):
     for name, v in kwargs.items():
-        if v <= 0:
+        if model._check_finite(name, v) <= 0:
             raise ValueError(f"{name} must be positive, got {v}")
 
 
@@ -94,6 +86,17 @@ def wr_baseline(n: int, k: int, G: float, lam: float, c: float = 1.0) -> float:
     """c * G^2 / (lam n k), the with-replacement reference rate."""
     _check_positive(n=n, k=k, G=G, lam=lam, c=c)
     return c * G**2 / (lam * n * k)
+
+
+# each theorem's rate curve as a function of (n, k, G, lam, lam_max)
+_RATES = {
+    "SS-LOWER": ss_lower,
+    "RR-LOWER": rr_lower,
+    "SS-UPPER": ss_upper,
+    "RR-UPPER": rr_upper,
+    "WR-BASELINE": lambda n, k, G, lam, lam_max: wr_baseline(n, k, G, lam),
+}
+THEOREM_IDS = tuple(_RATES)
 
 
 def crossover_epoch(lam: float, lam_max: float) -> float:

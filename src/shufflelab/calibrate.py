@@ -11,12 +11,13 @@ from __future__ import annotations
 import datetime
 import json
 import math
+import pathlib
 from importlib import resources
 from typing import Dict, Optional
 
 import numpy as np
 
-from . import analysis, bounds
+from . import analysis, bounds, model
 
 CALIBRATION_RESOURCE = "data/calibration.json"
 
@@ -126,12 +127,15 @@ def write_calibration(path) -> Dict[str, dict]:
 
 
 def load_calibration(path: Optional[str] = None) -> Dict[str, dict]:
-    """Load a calibration file; defaults to the one shipped with the package."""
-    if path is not None:
-        with open(path) as fh:
-            return json.load(fh)
-    ref = resources.files(__package__).joinpath(CALIBRATION_RESOURCE)
-    return json.loads(ref.read_text())
+    """Load a calibration file, by default the packaged one; ValueError naming
+    the file unless it is an object of objects, each with a finite "value"."""
+    where = resources.files(__package__) / CALIBRATION_RESOURCE if path is None else pathlib.Path(path)
+    doc = json.loads(where.read_text())
+    if not (isinstance(doc, dict) and all(isinstance(entry, dict) for entry in doc.values())):
+        raise ValueError(f"calibration file {where} must be an object of objects")
+    for name, entry in doc.items():
+        model._check_finite(f"calibration file {where}: {name} value", entry.get("value"))
+    return doc
 
 
 def _main() -> int:
@@ -139,8 +143,6 @@ def _main() -> int:
 
     target = sys.argv[1] if len(sys.argv) > 1 else None
     if target is None:
-        import pathlib
-
         target = pathlib.Path(__file__).parent / CALIBRATION_RESOURCE
     doc = write_calibration(target)
     for name, rec in sorted(doc.items()):

@@ -27,7 +27,7 @@ def _int_list(text: str) -> List[int]:
 
 
 def _add_problem_flags(sub, include_scheme: bool = True):
-    sub.add_argument("--construction", choices=("ss", "rr"), default="ss",
+    sub.add_argument("--construction", choices=model.CONSTRUCTIONS, default="ss",
                      help="which lower-bound construction to instantiate")
     sub.add_argument("--n", type=int, default=100, help="number of components (even)")
     sub.add_argument("--G", type=float, default=1.0, help="gradient-norm scale G")
@@ -66,6 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sim = subs.add_parser("simulate", help="run one SGD trajectory and print the final loss")
+    sim.set_defaults(run=_cmd_simulate)
     _add_problem_flags(sim)
     _add_eta_flags(sim)
     sim.add_argument("--k", type=int, default=10, help="number of epochs")
@@ -78,19 +79,16 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--quantity", required=True,
                      choices=("beta", "perm-moment", "sum-prod", "stochastic-terms",
                               "keyup", "loss-ss", "loss-rr"))
-    orc.add_argument("--n", type=int, default=4)
+    _add_problem_flags(orc, include_scheme=False)  # then the oracle's own defaults replace theirs
+    orc.set_defaults(run=_cmd_oracle, construction=None, n=4, lam_max=4.0,
+                     x0_preset="worst-case")
     orc.add_argument("--eta-lmax", type=float, default=0.5,
                      help="the product eta*lambda_max for pattern oracles")
     orc.add_argument("--m", type=int, default=1, help="moment order for perm-moment")
     orc.add_argument("--alphas", type=_float_list, default=None)
     orc.add_argument("--betas", type=_float_list, default=None)
     orc.add_argument("--perm", type=_int_list, default=None, help="0-based permutation")
-    orc.add_argument("--construction", choices=("ss", "rr"), default=None)
-    orc.add_argument("--G", type=float, default=1.0)
-    orc.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    orc.add_argument("--lambda-max", dest="lam_max", type=float, default=4.0)
     orc.add_argument("--k", type=int, default=5)
-    orc.add_argument("--x0-preset", choices=model.X0_PRESETS, default="worst-case")
     _add_eta_flags(orc)
     orc.add_argument("--method", choices=("exact", "monte-carlo"), default="exact")
     orc.add_argument("--samples", type=int, default=100000)
@@ -99,6 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="also write the result as a one-row oracle CSV")
 
     bnd = subs.add_parser("bounds", help="print the worst-case rate table for given parameters")
+    bnd.set_defaults(run=_cmd_bounds)
     bnd.add_argument("--n", type=int, default=500)
     bnd.add_argument("--k", type=int, default=100)
     bnd.add_argument("--G", type=float, default=1.0)
@@ -111,11 +110,13 @@ def _build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--d", type=int, default=1, help="dimension multiplier for upper bounds")
 
     ver = subs.add_parser("verify", help="run invariant suites; nonzero exit on failure")
+    ver.set_defaults(run=_cmd_verify)
     ver.add_argument("--suite", choices=verify.SUITES + ("all",), default="all")
     ver.add_argument("--calibration", type=str, default=None,
                      help="calibration file (defaults to the packaged one)")
 
     swp = subs.add_parser("sweep", help="run a sweep plan and emit CSV/SVG artifacts")
+    swp.set_defaults(run=_cmd_sweep)
     swp.add_argument("--plan", type=str, default=None, help="JSON plan file")
     _add_problem_flags(swp, include_scheme=False)
     swp.add_argument("--k-values", type=_int_list, default=[10, 25, 50, 100])
@@ -128,6 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fig = subs.add_parser("reproduce-fig1",
                           help="loss-vs-epochs sweeps for both constructions, CSV + SVG")
+    fig.set_defaults(run=_cmd_reproduce_fig1)
     fig.add_argument("--scale", choices=("desk", "paper"), default="desk")
     fig.add_argument("--out-dir", type=str, required=True)
     fig.add_argument("--seed", type=int, default=0, help="seed base")
@@ -138,14 +140,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args, parser) -> int:
-    p, x0 = experiments.build_instance(
-        args.construction, args.x0_preset, args.n, args.G, args.lam, args.lam_max
-    )
+    p, x0 = experiments.build_instance(args.construction, args.x0_preset, args.n, args.G,
+                                       args.lam, args.lam_max)
     eta = _resolve_eta(args, parser, args.n, args.k, args.lam)
-    cfg = engine.RunConfig(scheme=engine.Scheme.from_tag(args.scheme), eta=eta,
-                           epochs=args.k, x0=x0, seed=args.seed)
-    runner = engine.run_sgd if args.stepwise else engine.run_sgd_closed_form
-    traj = runner(p, cfg)
+    cfg = engine.RunConfig(scheme=args.scheme, eta=eta, epochs=args.k, x0=x0, seed=args.seed)
+    traj = (engine.run_sgd if args.stepwise else engine.run_sgd_closed_form)(p, cfg)
     if args.out:
         engine.write_trajectory_csv(traj, args.out)
         print(f"wrote {args.out}")
@@ -161,14 +160,10 @@ def _cmd_oracle(args, parser) -> int:
         except ValueError as exc:
             parser.error(f"--n: {exc}")
     if q in ("beta", "sum-prod", "stochastic-terms") and args.n > analysis.ENUMERATION_CAP:
-        parser.error(
-            f"--n must be even and within [2, {analysis.ENUMERATION_CAP}] "
-            f"for enumeration oracles, got {args.n}"
-        )
-    if q == "perm-moment":  # closed form: no enumeration cap
-        if not 1 <= args.m <= args.n - 1:
-            parser.error(f"--m must lie in 1..n-1, got {args.m}")
-    row = None
+        parser.error(f"--n must be even and within [2, {analysis.ENUMERATION_CAP}] "
+                     f"for enumeration oracles, got {args.n}")
+    if q == "perm-moment" and not 1 <= args.m <= args.n - 1:  # closed form: no enumeration cap
+        parser.error(f"--m must lie in 1..n-1, got {args.m}")
     if q == "beta":
         value = analysis.beta_exact(args.n, args.eta_lmax, 1.0)
         envelope = analysis.beta_lower_envelope(args.n, args.eta_lmax, 1.0)
@@ -201,13 +196,11 @@ def _cmd_oracle(args, parser) -> int:
         print(f"keyup = {value!r} (squared {value * value!r})")
         row = analysis.OracleRow(q, n, float(np.mean(args.alphas)), exact=value)
     else:
-        construction = args.construction or ("ss" if q == "loss-ss" else "rr")
-        p, x0 = experiments.build_instance(
-            construction, args.x0_preset, args.n, args.G, args.lam, args.lam_max
-        )
+        tag = q.removeprefix("loss-")  # the scheme, and the construction unless given
+        p, x0 = experiments.build_instance(args.construction or tag, args.x0_preset, args.n,
+                                           args.G, args.lam, args.lam_max)
         eta = _resolve_eta(args, parser, args.n, args.k, args.lam)
-        scheme = engine.Scheme.from_tag(q.removeprefix("loss-"))
-        label = experiments.SCHEME_LABELS[scheme.value]
+        label = experiments.SCHEME_LABELS[tag]
         if args.method == "exact":
             if q == "loss-ss":
                 value = analysis.expected_loss_ss_exact(p, eta, args.k, x0)
@@ -217,25 +210,23 @@ def _cmd_oracle(args, parser) -> int:
             row = analysis.OracleRow(q, args.n, eta * args.lam_max, exact=value)
         else:
             mean, se = analysis.mc_expected_loss(
-                p, scheme, eta, args.k, x0, runs=args.samples, seed=args.seed)
+                p, tag, eta, args.k, x0, runs=args.samples, seed=args.seed)
             print(f"E[F(x_k)] {label} ~= {mean!r} (se {se!r}, {args.samples} runs)")
-            row = analysis.OracleRow(q, args.n, eta * args.lam_max,
-                                     mc_mean=mean, mc_se=se)
-    if args.out and row is not None:
+            row = analysis.OracleRow(q, args.n, eta * args.lam_max, mc_mean=mean, mc_se=se)
+    if args.out:
         experiments.emit_csv([row], analysis.OracleRow, args.out)
         print(f"wrote {args.out}")
     return 0
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args, parser) -> int:
     n, k, G, lam, lmax = args.n, args.k, args.G, args.lam, args.lam_max
-    a_bar = lmax
     rows = [
         ("ss-lower", bounds.ss_lower(n, k, G, lam, lmax, args.c)),
         ("rr-lower", bounds.rr_lower(n, k, G, lam, lmax, args.c)),
         ("ss-upper", bounds.ss_upper(n, k, G, lam, lmax, args.c_log, args.d)),
         ("rr-upper", bounds.rr_upper(n, k, G, lam, lmax, args.c_log, args.d)),
-        ("ss-upper-high-prob", bounds.ss_upper_high_prob(n, k, G, lam, a_bar, args.delta, args.c)),
+        ("ss-upper-high-prob", bounds.ss_upper_high_prob(n, k, G, lam, lmax, args.delta, args.c)),
         ("wr-baseline", bounds.wr_baseline(n, k, G, lam, args.c)),
     ]
     width = max(len(r[0]) for r in rows)
@@ -245,15 +236,12 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, parser) -> int:
     results = verify.run_suite(args.suite, args.calibration)
     width = max(len(r.name) for r in results)
-    failures = 0
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        if not r.passed:
-            failures += 1
-        print(f"[{status}] {r.name:<{width}}  {r.detail}")
+        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name:<{width}}  {r.detail}")
+    failures = sum(not r.passed for r in results)
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return 0 if failures == 0 else 1
 
@@ -270,9 +258,7 @@ def _cmd_sweep(args, parser) -> int:
         with open(args.plan) as fh:
             plan = experiments.plan_from_json_dict(json.load(fh))
     else:
-        eta_rule = "recommended"
-        if args.eta is not None:
-            eta_rule = args.eta
+        eta_rule = "recommended" if args.eta is None else args.eta
         plan = experiments.SweepPlan(
             construction=args.construction, n=args.n, G=args.G, lam=args.lam,
             lam_max=args.lam_max, k_values=tuple(args.k_values), seeds=args.seeds,
@@ -299,11 +285,9 @@ def _fig1_overlays(plan: experiments.SweepPlan, summaries) -> list:
     """Fitted rate overlays: constants are least-squares fits, labeled as such
     in the legend and printed at full precision."""
     out = []
-    for scheme, spec in (
-        ("wr", bounds.BoundSpec("WR-BASELINE")),
-        ("ss", bounds.BoundSpec("SS-UPPER")),
-        ("rr", bounds.BoundSpec("RR-UPPER")),
-    ):
+    for scheme, theorem_id in zip(experiments.SCHEME_ORDER,
+                                  ("WR-BASELINE", "SS-UPPER", "RR-UPPER")):
+        spec = bounds.BoundSpec(theorem_id)
         subset = [s for s in summaries if s.scheme == scheme]
         c = experiments.fit_bound_constant(subset, spec, plan)
         pts = [
@@ -318,7 +302,7 @@ def _fig1_overlays(plan: experiments.SweepPlan, summaries) -> list:
 def _cmd_reproduce_fig1(args, parser) -> int:
     experiments.check_jobs(args.jobs)
     plan_fn = experiments.desk_plan if args.scale == "desk" else experiments.paper_plan
-    plans = [plan_fn(construction, seed_base=args.seed) for construction in ("ss", "rr")]
+    plans = [plan_fn(construction, seed_base=args.seed) for construction in model.CONSTRUCTIONS]
     _prepare_out_dir(args.out_dir, args.force, parser)
     if args.scale == "paper":
         print(
@@ -345,23 +329,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args, parser)
-        if args.command == "oracle":
-            return _cmd_oracle(args, parser)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args, parser)
-        if args.command == "reproduce-fig1":
-            return _cmd_reproduce_fig1(args, parser)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args, parser)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -90,16 +90,20 @@ _PACKAGE_DIR = os.path.dirname(__file__) + os.sep  # as the package's code objec
 
 
 class Scheme(enum.Enum):
+    """A sampling scheme; `Scheme(value)`, as every engine entry point calls it,
+    takes a member or its tag and raises ValueError listing the tags otherwise."""
+
     WITH_REPLACEMENT = "wr"
     SINGLE_SHUFFLE = "ss"
     RANDOM_RESHUFFLE = "rr"
 
     @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown scheme {value!r}; choose from {', '.join(s.value for s in cls)}")
+
+    @classmethod
     def from_tag(cls, tag: str) -> "Scheme":
-        for s in cls:
-            if s.value == tag:
-                return s
-        raise ValueError(f"unknown scheme tag {tag!r}; choose from wr, ss, rr")
+        return cls(tag)
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,7 @@ class RunConfig:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "scheme", Scheme(self.scheme))
         object.__setattr__(self, "x0", np.array(self.x0, dtype=np.float64))
         self.x0.flags.writeable = False
         _check_run(self.eta, self.epochs, (self.seed,))
@@ -156,7 +161,9 @@ class Trajectory:
 
 def recommended_eta(n: int, k: int, lam: float) -> float:
     """The step-size rule log(nk) / (lam * n * k) (natural log)."""
-    if lam <= 0:
+    if not (is_integer(n) and is_integer(k)):
+        raise ValueError(f"n and k must be integers, got {n!r} and {k!r}")
+    if model._check_finite("lam", lam) <= 0:
         raise ValueError("lam must be positive")
     nk = n * k
     if nk <= 1:
@@ -841,9 +848,10 @@ def final_losses(p: Problem, scheme: Scheme, eta: float, k: int, x0, seeds) -> n
     Entry r equals `run_sgd_closed_form(p, RunConfig(scheme, eta, k, x0,
     seeds[r])).final_loss` bit for bit: each run makes its own stream's
     draws, and the runs of a chunk share the arithmetic of
-    `_chunked_iterates`.  Rejects a negative or non-finite eta, k < 1 and
-    seeds outside [0, 2**64) as `RunConfig` does.
+    `_chunked_iterates`.  Rejects what `RunConfig` rejects: a scheme it cannot
+    look up, a negative or non-finite eta, k < 1 and seeds outside [0, 2**64).
     """
+    scheme = Scheme(scheme)
     seeds = list(seeds)
     _check_run(eta, k, seeds)
     y0 = model._to_diag_frame(p, x0)

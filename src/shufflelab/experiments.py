@@ -22,6 +22,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from operator import attrgetter
+from types import NoneType
 from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
 
 import numpy as np
@@ -43,7 +44,7 @@ SCHEME_LABELS = {
 
 @dataclass(frozen=True)
 class SweepPlan:
-    construction: str  # "ss" or "rr"
+    construction: str  # one of model.CONSTRUCTIONS
     n: int
     G: float
     lam: float
@@ -196,9 +197,7 @@ def _run_cell(plan: SweepPlan, scheme_tag: str, k: int) -> List[SweepRecord]:
     seeds = engine.derive_seeds(plan.seed_base, [key + (s,) for s in range(plan.seeds)])
     records = []
     for s, seed in enumerate(seeds):
-        cfg = engine.RunConfig(
-            scheme=engine.Scheme.from_tag(scheme_tag), eta=eta, epochs=k, x0=x0, seed=seed,
-        )
+        cfg = engine.RunConfig(scheme=scheme_tag, eta=eta, epochs=k, x0=x0, seed=seed)
         loss = engine.run_sgd_closed_form(p, cfg).final_loss
         records.append(
             SweepRecord(scheme=scheme_tag, k=k, seed=s, final_loss=loss,
@@ -300,6 +299,18 @@ def _columns(row_type: type) -> Tuple[List[str], list]:
     return [f.name for f in fields(row_type)], [hints[f.name] for f in fields(row_type)]
 
 
+def _optional(kind) -> Optional[type]:
+    """T for an Optional[T] column, whose None is an empty cell; else None."""
+    args = get_args(kind)
+    return next(arg for arg in args if arg is not NoneType) if NoneType in args else None
+
+
+def _parse_cell(kind, cell: str):
+    """The value `emit_csv` wrote as `cell` in a column of type `kind`."""
+    inner = _optional(kind)
+    return kind(cell) if inner is None else (inner(cell) if cell else None)
+
+
 def emit_csv(rows: Sequence, row_type: type, path, comments: Sequence[str] = ()) -> None:
     """Write the caller's `#` lines, a header of `row_type`'s field names and
     one line per row: float cells by repr, None as an empty cell, the others
@@ -307,7 +318,7 @@ def emit_csv(rows: Sequence, row_type: type, path, comments: Sequence[str] = ())
     names, kinds = _columns(row_type)
     row_format = ",".join("%r" if kind is float else "%s" for kind in kinds)
     cells = map(attrgetter(*names), rows)
-    if any(type(None) in get_args(kind) for kind in kinds):
+    if any(map(_optional, kinds)):
         cells = (tuple("" if cell is None else cell for cell in row) for row in cells)
     lines = [*comments, ",".join(names), *(row_format % row for row in cells)]
     with open(path, "w") as fh:
@@ -335,7 +346,7 @@ def _read_csv(path, row_type: type) -> list:
     ragged = [len(cells) for cells in rows[1:] if len(cells) != len(kinds)]
     if ragged:
         raise ValueError(f"a row of {path} has {ragged[0]} cells, not {len(kinds)}")
-    return [row_type(*[kind(cell) for kind, cell in zip(kinds, cells)]) for cells in rows[1:]]
+    return [row_type(*map(_parse_cell, kinds, cells)) for cells in rows[1:]]
 
 
 def emit_records_csv(records: Sequence[SweepRecord], path,

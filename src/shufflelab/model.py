@@ -25,6 +25,8 @@ import numpy as np
 
 ORTHOGONALITY_TOL = 1e-12
 INVARIANT_TOL = 1e-9
+# the lower-bound constructions by name: single shuffling's 2-d, reshuffling's 3-d
+CONSTRUCTIONS = ("ss", "rr")
 
 
 def _frozen_array(name: str, values) -> np.ndarray:
@@ -163,9 +165,9 @@ class Problem:
         if self.n <= 1:
             raise ValueError("a finite-sum problem needs n > 1 components")
         for name in ("lam", "lam_max", "smooth_l", "grad_bound"):
-            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
+            object.__setattr__(self, name, _check_finite(doc_key(name), getattr(self, name)))
         if not (self.lam > 0 and self.lam_max > 0 and self.smooth_l > 0):
-            raise ValueError("lam, lam_max and smooth_l must be positive")
+            raise ValueError("lambda, lambda_max and smooth_l must be positive")
         if self.grad_bound < 0:
             raise ValueError("grad_bound must be nonnegative")
         if self.conjugation is not None:
@@ -233,9 +235,10 @@ def problem_from_json_dict(doc: dict) -> Problem:
 
 
 def check_construction(construction) -> None:
-    """Reject a construction name other than "ss" or "rr"."""
-    if not (isinstance(construction, str) and construction in ("ss", "rr")):
-        raise ValueError(f"construction must be 'ss' or 'rr', got {construction!r}")
+    """Reject a construction name not in `CONSTRUCTIONS`."""
+    if not (isinstance(construction, str) and construction in CONSTRUCTIONS):
+        names = " or ".join(map(repr, CONSTRUCTIONS))
+        raise ValueError(f"construction must be {names}, got {construction!r}")
 
 
 def _check_scale(G: float, lam: float, lam_max: float) -> None:
@@ -386,8 +389,10 @@ def validate_assumptions(p: Problem, x0, k: int) -> AssumptionReport:
 
     Clauses: curvatures lie in [lam, lam_max] U {0} and below smooth_l, the
     mean curvature stays in [lam, lam_max], ||grad F(x0)|| <= G, every
-    ||grad f_i(x*)|| <= G, and log(nk) * L / (lam n k) <= 1.
+    ||grad f_i(x*)|| <= G, and log(nk) * L / (lam n k) <= 1 for an integer k.
     """
+    if not is_integer(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
     x0 = np.asarray(x0, dtype=np.float64)
     tol = 1e-9
     clauses = []
@@ -418,7 +423,7 @@ def validate_assumptions(p: Problem, x0, k: int) -> AssumptionReport:
     gstar = max(float(np.linalg.norm(component_gradient(p, i, xstar))) for i in range(p.n))
     clauses.append(Clause("max_i ||grad f_i(x*)|| <= G", gstar <= limit_g, gstar, p.grad_bound))
 
-    nk = p.n * int(k)
+    nk = p.n * k
     ratio = math.log(nk) * p.smooth_l / (p.lam * nk) if nk > 1 else math.inf
     clauses.append(Clause("log(nk) L / (lam n k) <= 1", ratio <= 1.0 + tol, ratio, 1.0))
 

@@ -15,8 +15,6 @@ import numpy as np
 
 from . import analysis, calibrate, engine, model
 
-SUITES = ("lemmas", "closed-form", "conjugation", "envelopes")
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -333,18 +331,20 @@ def envelopes_suite(calibration_path: Optional[str] = None) -> List[CheckResult]
     return results
 
 
+# each suite by name, in `run_suite("all")`'s order; only envelopes reads the calibration path
+_SUITES = {
+    "lemmas": lambda calibration_path: lemmas_suite(),
+    "closed-form": lambda calibration_path: closed_form_suite(),
+    "conjugation": lambda calibration_path: conjugation_suite(),
+    "envelopes": envelopes_suite,
+}
+SUITES = tuple(_SUITES)
+
+
 def run_suite(suite: str, calibration_path: Optional[str] = None) -> List[CheckResult]:
-    if suite == "lemmas":
-        return lemmas_suite()
-    if suite == "closed-form":
-        return closed_form_suite()
-    if suite == "conjugation":
-        return conjugation_suite()
-    if suite == "envelopes":
-        return envelopes_suite(calibration_path)
-    if suite == "all":
-        out = []
-        for s in SUITES:
-            out.extend(run_suite(s, calibration_path))
-        return out
-    raise ValueError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
+    """The checks of the suite named `suite`, or of every suite in `SUITES`'
+    order for "all"; ValueError naming the choices for any other name."""
+    if suite != "all" and suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
+    names = SUITES if suite == "all" else (suite,)
+    return [check for name in names for check in _SUITES[name](calibration_path)]

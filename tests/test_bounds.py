@@ -116,6 +116,37 @@ class TestBoundSpec:
         with pytest.raises(ValueError):
             BoundSpec("SS-MIDDLE")
 
+    def test_ids_keep_their_order(self):
+        assert bounds.THEOREM_IDS == ("SS-LOWER", "RR-LOWER", "SS-UPPER", "RR-UPPER",
+                                      "WR-BASELINE")
+
+    def test_wr_baseline_ignores_lam_max(self):
+        spec = BoundSpec("WR-BASELINE")
+        want = wr_baseline(100, 10, 1.0, 1.0)
+        assert spec.evaluate(100, 10, 1.0, 1.0, 5.0) == spec.evaluate(100, 10, 1.0, 1.0, 1e9) == want
+
+
+@pytest.mark.parametrize("rate", [ss_lower, rr_lower, ss_upper, rr_upper, wr_baseline])
+@pytest.mark.parametrize("position, value, message", [
+    (2, float("nan"), "^G must be finite, got nan$"),
+    (3, float("inf"), "^lam must be finite, got inf$"),
+    (1, 2.5e400, "^k must be finite, got inf$"),
+    (0, None, "^n must be a number, got None$"),
+    (2, 0.0, "^G must be positive, got 0.0$"),
+])
+def test_non_finite_or_non_positive_parameters_rejected(rate, position, value, message):
+    args = [10, 5, 1.0, 1.0, 2.0][:4 if rate is wr_baseline else 5]
+    args[position] = value
+    with pytest.raises(ValueError, match=message):
+        rate(*args)
+
+
+def test_non_finite_lam_max_rejected():
+    with pytest.raises(ValueError, match="^lam_max must be finite, got inf$"):
+        ss_lower(10, 5, 1.0, 1.0, float("inf"))
+    with pytest.raises(ValueError, match="^a_bar must be finite, got nan$"):
+        ss_upper_high_prob(10, 5, 1.0, 1.0, float("nan"))
+
 
 @given(
     n=st.integers(min_value=2, max_value=10**4),

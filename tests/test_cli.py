@@ -1,15 +1,52 @@
+import argparse
 import dataclasses
 import json
 
 import pytest
 
-from shufflelab import analysis, bounds, cli, experiments, verify
+from shufflelab import analysis, bounds, calibrate, cli, experiments, model, verify
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subparser(name: str) -> argparse.ArgumentParser:
+    subs = next(a for a in cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return subs.choices[name]
+
+
+class TestDispatch:
+    def test_every_subcommand_registers_its_handler(self):
+        for name in ("simulate", "oracle", "bounds", "verify", "sweep", "reproduce-fig1"):
+            handler = subparser(name).get_default("run")
+            assert handler is getattr(cli, "_cmd_" + name.replace("-", "_"))
+
+    @pytest.mark.parametrize("sub", ["simulate", "sweep", "oracle"])
+    def test_construction_choices_are_the_constructions(self, sub):
+        action = next(a for a in subparser(sub)._actions if a.dest == "construction")
+        assert tuple(action.choices) == model.CONSTRUCTIONS
+
+    def test_oracle_keeps_its_defaults(self):
+        args = cli._build_parser().parse_args(["oracle", "--quantity", "loss-rr"])
+        assert (args.construction, args.n, args.G, args.lam, args.lam_max, args.x0_preset,
+                args.k) == (None, 4, 1.0, 1.0, 4.0, "worst-case", 5)
+
+    @pytest.mark.parametrize("quantity", ["loss-ss", "loss-rr"])
+    def test_oracle_takes_its_construction_from_the_quantity(self, capsys, monkeypatch,
+                                                             quantity):
+        built = []
+        real = experiments.build_instance
+        monkeypatch.setattr(experiments, "build_instance",
+                            lambda construction, *rest: built.append(construction)
+                            or real(construction, *rest))
+        assert run_cli(capsys, "oracle", "--quantity", quantity, "--auto-eta")[0] == 0
+        assert run_cli(capsys, "oracle", "--quantity", quantity, "--auto-eta",
+                       "--construction", "rr")[0] == 0
+        assert built == [quantity.removeprefix("loss-"), "rr"]
 
 
 class TestHelp:
@@ -200,6 +237,14 @@ class TestBounds:
         assert "2.000000e-05" in out  # wr baseline and both lower bounds at c=1
         assert "crossover-epoch" in out and "200" in out
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--G", "nan", "G must be finite, got nan"),
+        ("--lambda", "inf", "lam must be finite, got inf"),
+        ("--lambda-max", "nan", "lam_max must be finite, got nan"),
+    ])
+    def test_non_finite_parameter_fails(self, capsys, flag, value, message):
+        assert run_cli(capsys, "bounds", flag, value) == (1, "", f"error: {message}\n")
+
 
 class TestVerify:
     def test_lemmas_suite_passes(self, capsys):
@@ -214,6 +259,39 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "lemmas")
         assert code == 1
         assert "[FAIL]" in out
+
+    def test_suites_keep_their_order(self, monkeypatch):
+        assert verify.SUITES == ("lemmas", "closed-form", "conjugation", "envelopes")
+        for name in verify.SUITES:
+            monkeypatch.setitem(verify._SUITES, name,
+                                lambda path, name=name: [verify.CheckResult(name, True, path)])
+        checks = verify.run_suite("all", "cal.json")
+        assert [(c.name, c.detail) for c in checks] == [(s, "cal.json") for s in verify.SUITES]
+        assert verify.run_suite("conjugation") == [verify.CheckResult("conjugation", True, None)]
+        with pytest.raises(ValueError, match="^unknown suite 'bogus'; choose from"):
+            verify.run_suite("bogus")
+
+    @pytest.mark.parametrize("doc", [[1, 2], {"beta_envelope_c_lo": 5},
+                                     {"beta_envelope_c_lo": {"value": "0.04"}},
+                                     {"beta_envelope_c_lo": {"value": float("nan")}}],
+                             ids=["list", "number-entry", "string-value", "nan-value"])
+    def test_malformed_calibration_file_fails_cleanly(self, capsys, tmp_path, doc):
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--suite", "envelopes",
+                                 "--calibration", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: calibration file {path}") and err.count("\n") == 1
+
+    def test_calibration_file_missing_an_entry_fails_the_drift_check(self, capsys, tmp_path):
+        doc = calibrate.load_calibration()
+        del doc["rv_sq_c3"]
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "envelopes",
+                               "--calibration", str(path))
+        assert code == 1
+        assert "[FAIL] stored calibration matches a fresh enumeration sweep" in out
 
 
 class TestSweepCommand:
@@ -318,6 +396,21 @@ class TestReproduceFig1:
         assert (code, out, err) == (1, "", "error: seed must be nonnegative, got -1\n")
         assert not out_dir.exists()
 
+    def test_runs_every_construction(self, capsys, tmp_path, monkeypatch):
+        ran = []
+        real = experiments.run_sweep
+
+        def small_sweep(plan, jobs=None):
+            ran.append(plan.construction)
+            return real(dataclasses.replace(plan, k_values=(10, 25), seeds=2), jobs=1)
+
+        monkeypatch.setattr(experiments, "run_sweep", small_sweep)
+        out_dir = tmp_path / "out"
+        assert run_cli(capsys, "reproduce-fig1", "--out-dir", str(out_dir), "--jobs", "1")[0] == 0
+        assert tuple(ran) == model.CONSTRUCTIONS
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            f"fig1_{c}{suffix}" for c in model.CONSTRUCTIONS for suffix in (".svg", "_records.csv"))
+
     def test_refuses_nonempty_out_dir(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
         out_dir.mkdir()
@@ -361,6 +454,19 @@ class TestOracleCsvExport:
         row = out.read_text().splitlines()[1].split(",")
         assert row[0] == "loss-rr" and row[3] == ""
         assert float(row[4]) > 0 and float(row[5]) > 0
+
+    @pytest.mark.parametrize("method", [["--method", "exact"],
+                                        ["--method", "monte-carlo", "--samples", "50"]])
+    def test_rows_read_back_equal(self, capsys, tmp_path, monkeypatch, method):
+        written = []
+        real = experiments.emit_csv
+        monkeypatch.setattr(experiments, "emit_csv",
+                            lambda rows, *rest: written.extend(rows) or real(rows, *rest))
+        out = tmp_path / "oracle.csv"
+        code, _, _ = run_cli(capsys, "oracle", "--quantity", "loss-ss", "--n", "6", "--k", "2",
+                             "--auto-eta", *method, "--out", str(out))
+        assert code == 0 and len(written) == 1
+        assert experiments._read_csv(out, analysis.OracleRow) == written
 
 
 class TestVerifyAll:

@@ -43,6 +43,49 @@ class TestRecommendedEta:
         with pytest.raises(ValueError):
             recommended_eta(1, 1, 1.0)
 
+    @pytest.mark.parametrize("n, k, lam, message", [
+        (10, 5, math.nan, "^lam must be finite, got nan$"),
+        (10, 5, math.inf, "^lam must be finite, got inf$"),
+        (10, 5, 0.0, "^lam must be positive$"),
+        (10, 2.5, 1.0, "^n and k must be integers, got 10 and 2.5$"),
+        (10.0, 5, 1.0, "^n and k must be integers, got 10.0 and 5$"),
+        (10, True, 1.0, "^n and k must be integers, got 10 and True$"),
+    ])
+    def test_bad_parameters_rejected(self, n, k, lam, message):
+        with pytest.raises(ValueError, match=message):
+            recommended_eta(n, k, lam)
+
+
+class TestSchemeLookup:
+    """Each engine entry point looks its scheme up in `Scheme`: a member and
+    its tag give the same values, and a value that names no scheme raises."""
+
+    ENTRIES = {
+        "run_sgd": lambda s: engine.run_sgd(
+            two_point_problem(), RunConfig(s, 0.1, 3, [0.5], 7)).losses,
+        "run_sgd_closed_form": lambda s: engine.run_sgd_closed_form(
+            two_point_problem(), RunConfig(s, 0.1, 3, [0.5], 7)).losses,
+        "final_losses": lambda s: engine.final_losses(
+            two_point_problem(), s, 0.1, 3, [0.5], [7, 8, 9]),
+        "mc_expected_loss": lambda s: analysis.mc_expected_loss(
+            two_point_problem(), s, 0.1, 3, [0.5], runs=4, seed=7),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_member_or_tag_and_nothing_else(self, entry):
+        run = self.ENTRIES[entry]
+        for scheme in Scheme:
+            np.testing.assert_array_equal(run(scheme.value), run(scheme))
+        assert not np.array_equal(run("wr"), run("rr"))  # "wr" is no longer run as rr
+        for value in ("bogus", None, "WR", 1):
+            with pytest.raises(ValueError, match=f"^unknown scheme {value!r}; "
+                                                 "choose from wr, ss, rr$"):
+                run(value)
+
+    def test_from_tag_is_the_lookup(self):
+        assert Scheme.from_tag("ss") is Scheme("ss") is Scheme.SINGLE_SHUFFLE
+        assert RunConfig("wr", 0.1, 3, [0.5], 7).scheme is Scheme.WITH_REPLACEMENT
+
 
 class TestSamplePermutation:
     def test_n1_identity_consumes_nothing(self):

@@ -194,6 +194,17 @@ class TestValidateAssumptions:
         assert any("x0" in name for name in failed)
         assert not report.all_passed
 
+    @pytest.mark.parametrize("k", [2.7, 3.0, "3", True, None])
+    def test_k_must_be_an_integer(self, k):
+        p = build_ss_construction(10, 1.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {re.escape(repr(k))}$"):
+            validate_assumptions(p, [1.0, 0.0], k)
+
+    def test_numpy_integer_k_accepted(self):
+        p = build_ss_construction(10, 1.0, 1.0, 2.0)
+        assert validate_assumptions(p, [1.0, 0.0], np.int64(100)) == validate_assumptions(
+            p, [1.0, 0.0], 100)
+
 
 class TestConjugation:
     def test_identity_is_noop_on_values(self):
@@ -287,7 +298,7 @@ class TestSerialization:
          "curvature and linear data must be finite"),
         (lambda doc: doc["curvature_matrix"][3].__setitem__(1, float("inf")),
          "curvature and linear data must be finite"),
-        (lambda doc: doc.__setitem__("lambda", None), "lam must be a number, got None"),
+        (lambda doc: doc.__setitem__("lambda", None), "lambda must be a number, got None"),
     ], ids=["row-count", "ragged-linear", "ragged-curvature", "negative-curvature",
             "nan-linear", "inf-curvature", "null-lambda"])
     def test_reader_leaves_values_to_problem(self, edit, message):
@@ -402,7 +413,8 @@ class TestInvariants:
     def test_problem_rejects_non_finite_metadata(self, name, value):
         fields = dict(lam=1.0, lam_max=1.0, smooth_l=1.0, grad_bound=1.0)
         fields[name] = value
-        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        # a scalar is named by its document key, as a plan's is
+        with pytest.raises(ValueError, match=f"^{model.doc_key(name)} must be finite, got {value}$"):
             Problem(curvature_matrix=[[1.0], [1.0]], linear_matrix=[[0.0], [0.0]], **fields)
 
     @pytest.mark.parametrize("name", ["lam", "lam_max", "smooth_l", "grad_bound"])
@@ -410,7 +422,8 @@ class TestInvariants:
     def test_problem_rejects_non_numeric_metadata(self, name, value):
         fields = dict(lam=1.0, lam_max=1.0, smooth_l=1.0, grad_bound=1.0)
         fields[name] = value
-        with pytest.raises(ValueError, match=f"^{name} must be a number, got {value!r}$"):
+        with pytest.raises(ValueError,
+                           match=f"^{model.doc_key(name)} must be a number, got {value!r}$"):
             Problem(curvature_matrix=[[1.0], [1.0]], linear_matrix=[[0.0], [0.0]], **fields)
 
     def test_problem_stores_numpy_metadata_as_python_numbers(self):
