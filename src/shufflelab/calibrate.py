@@ -93,12 +93,11 @@ def measure_constants() -> Dict[str, dict]:
                 q = analysis.two_valued_tail_products(alphas, betas, 1.0)
                 e_abs, e_sq = float(np.mean(np.abs(q))), float(np.mean(q * q))
                 keyup_hi = max(keyup_hi, e_sq / keyup_square_envelope(n, abar))
+                c1_hi = max(c1_hi, e_abs / rv_abs_envelope(n, abar))
                 if n * abar <= 0.5:
                     c2_hi = max(c2_hi, e_sq / rv_sq_envelope(n, abar))
-                    c1_hi = max(c1_hi, e_abs / rv_abs_envelope(n, abar))
                 else:
                     c3_hi = max(c3_hi, e_sq / rv_sq_envelope(n, abar))
-                    c1_hi = max(c1_hi, e_abs / rv_abs_envelope(n, abar))
     stamp = datetime.date.today().isoformat()
 
     def entry(value: float) -> dict:

@@ -123,7 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--seeds", type=int, default=20)
     swp.add_argument("--seed", type=int, default=0, help="seed base")
     swp.add_argument("--couple-rng", action="store_true")
-    _add_eta_flags(swp)
+    swp.add_argument("--eta", type=float, default=None,
+                     help="fixed step size (default: log(nk)/(lambda n k) for each k)")
     swp.add_argument("--out-dir", type=str, required=True)
     swp.add_argument("--jobs", type=int, default=None)
 
@@ -146,7 +147,7 @@ def _cmd_simulate(args, parser) -> int:
     cfg = engine.RunConfig(scheme=args.scheme, eta=eta, epochs=args.k, x0=x0, seed=args.seed)
     traj = (engine.run_sgd if args.stepwise else engine.run_sgd_closed_form)(p, cfg)
     if args.out:
-        engine.write_trajectory_csv(traj, args.out)
+        experiments.write_trajectory_csv(traj, args.out)
         print(f"wrote {args.out}")
     print(f"final loss = {traj.final_loss!r}")
     return 0
@@ -154,6 +155,8 @@ def _cmd_simulate(args, parser) -> int:
 
 def _cmd_oracle(args, parser) -> int:
     q = args.quantity
+    if args.method == "monte-carlo" and q not in ("loss-ss", "loss-rr"):
+        parser.error(f"--method monte-carlo applies to loss-ss and loss-rr, not {q}")
     if q in ("beta", "perm-moment", "sum-prod", "stochastic-terms"):
         try:
             model.check_even_n(args.n)
@@ -200,7 +203,7 @@ def _cmd_oracle(args, parser) -> int:
         p, x0 = experiments.build_instance(args.construction or tag, args.x0_preset, args.n,
                                            args.G, args.lam, args.lam_max)
         eta = _resolve_eta(args, parser, args.n, args.k, args.lam)
-        label = experiments.SCHEME_LABELS[tag]
+        label = experiments.SCHEME_STYLES[tag].label
         if args.method == "exact":
             if q == "loss-ss":
                 value = analysis.expected_loss_ss_exact(p, eta, args.k, x0)

@@ -861,20 +861,3 @@ def final_losses(p: Problem, scheme: Scheme, eta: float, k: int, x0, seeds) -> n
         final = ys[-1].reshape(-1, p.dim)  # a run's final chunk is written last
         last[first:first + len(final)] = final
     return model.diagonal_objective(p, last)
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """CSV with `epoch,x_1..x_d,loss` rows under `#` metadata lines."""
-    d = traj.points.shape[1]
-    cfg = traj.config
-    lines = [
-        f"# scheme={cfg.scheme.value} eta={cfg.eta!r} epochs={cfg.epochs} seed={cfg.seed}",
-        f"# x0={','.join(repr(v) for v in cfg.x0.tolist())}",
-        f"# rng_algorithm_id={traj.rng_algorithm_id}",
-        "epoch," + ",".join(f"x_{j + 1}" for j in range(d)) + ",loss",
-    ]
-    for t in range(traj.points.shape[0]):
-        coords = ",".join(repr(v) for v in traj.points[t].tolist())
-        lines.append(f"{t + 1},{coords},{float(traj.losses[t])!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -11,7 +11,8 @@ asks for shared randomness across schemes.
 The dataclasses are the file formats: a plan document is `SweepPlan`'s fields
 under `model`'s one document rule, and a records CSV's `# plan=` line is one,
 reproducing the sweep byte for byte; `emit_csv`, the one CSV writer, takes its
-columns from a row type's fields (`SweepRecord`, `SweepSummary`, `OracleRow`).
+columns from a row type's fields (`SweepRecord`, `SweepSummary`, `OracleRow`
+and a trajectory row type of its run's width).
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, make_dataclass
 from operator import attrgetter
 from types import NoneType
 from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
@@ -33,12 +35,18 @@ from .model import is_integer
 LOG10_FLOOR = 1e-300
 # the scheme tags in `engine.Scheme`'s order; a tag's index is its spawn-key code
 SCHEME_ORDER = tuple(s.value for s in engine.Scheme)
-
-SCHEME_COLORS = {"wr": "#1f77b4", "ss": "#d62728", "rr": "#2ca02c"}
-SCHEME_LABELS = {
-    "wr": "with-replacement",
-    "ss": "single shuffling",
-    "rr": "random reshuffling",
+# each scheme's look in plots and its name in printed output, in SCHEME_ORDER;
+# a marker maps (x, y, color) to its SVG element
+SchemeStyle = namedtuple("SchemeStyle", "color label marker")
+SCHEME_STYLES = {
+    "wr": SchemeStyle("#1f77b4", "with-replacement", lambda x, y, color: (
+        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" fill="{color}"/>')),
+    "ss": SchemeStyle("#d62728", "single shuffling", lambda x, y, color: (
+        f'<path d="M {x - 4:.2f} {y:.2f} H {x + 4:.2f} M {x:.2f} {y - 4:.2f} '
+        f'V {y + 4:.2f}" stroke="{color}" stroke-width="1.8"/>')),
+    "rr": SchemeStyle("#2ca02c", "random reshuffling", lambda x, y, color: (
+        f'<polygon points="{x:.2f},{y - 4.2:.2f} {x - 3.8:.2f},{y + 3.2:.2f} '
+        f'{x + 3.8:.2f},{y + 3.2:.2f}" fill="{color}"/>')),
 }
 
 
@@ -360,6 +368,21 @@ def emit_summaries_csv(summaries: Sequence[SweepSummary], path,
     emit_csv(summaries, SweepSummary, path, _sweep_comments(plan))
 
 
+def write_trajectory_csv(traj: engine.Trajectory, path) -> None:
+    """A run's `#` config and RNG lines, then `epoch,x_1..x_d,loss` rows: a
+    row type of the run's width d, through `emit_csv`."""
+    cfg = traj.config
+    x_columns = [(f"x_{j}", float) for j in range(1, traj.points.shape[1] + 1)]
+    row_type = make_dataclass("TrajectoryRow", [("epoch", int), *x_columns, ("loss", float)])
+    rows = [row_type(t, *x, loss) for t, (x, loss)
+            in enumerate(zip(traj.points.tolist(), traj.losses.tolist()), 1)]
+    emit_csv(rows, row_type, path, [
+        f"# scheme={cfg.scheme.value} eta={cfg.eta!r} epochs={cfg.epochs} seed={cfg.seed}",
+        f"# x0={','.join(map(repr, cfg.x0.tolist()))}",
+        f"# rng_algorithm_id={traj.rng_algorithm_id}",
+    ])
+
+
 def read_records_csv(path) -> List[SweepRecord]:
     return _read_csv(path, SweepRecord)
 
@@ -370,18 +393,6 @@ def read_summaries_csv(path) -> List[SweepSummary]:
 
 # ---------------------------------------------------------------------------
 # SVG emission
-
-
-def _svg_marker(scheme: str, x: float, y: float, color: str) -> str:
-    if scheme == "wr":  # circle
-        return f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" fill="{color}"/>'
-    if scheme == "ss":  # plus
-        return (
-            f'<path d="M {x - 4:.2f} {y:.2f} H {x + 4:.2f} M {x:.2f} {y - 4:.2f} '
-            f'V {y + 4:.2f}" stroke="{color}" stroke-width="1.8"/>'
-        )
-    pts = f"{x:.2f},{y - 4.2:.2f} {x - 3.8:.2f},{y + 3.2:.2f} {x + 3.8:.2f},{y + 3.2:.2f}"
-    return f'<polygon points="{pts}" fill="{color}"/>'
 
 
 def emit_svg(summaries: Sequence[SweepSummary], path,
@@ -404,7 +415,7 @@ def emit_svg(summaries: Sequence[SweepSummary], path,
     y_vals += [s.mean_log10_loss + s.std_log10_loss for s in summaries]
     if bound_curves:
         for _, pts in bound_curves:
-            y_vals += [math.log10(max(v, LOG10_FLOOR)) for _, v in pts]
+            y_vals += [_clamped_log10(v) for _, v in pts]
     y_lo, y_hi = min(y_vals), max(y_vals)
     pad = 0.05 * (y_hi - y_lo or 1.0)
     y_lo, y_hi = y_lo - pad, y_hi + pad
@@ -452,11 +463,10 @@ def emit_svg(summaries: Sequence[SweepSummary], path,
     )
 
     legend_y = top + 12
-    for scheme in SCHEME_ORDER:
+    for scheme, (color, label, marker) in SCHEME_STYLES.items():
         pts = sorted((s for s in summaries if s.scheme == scheme), key=lambda s: s.k)
         if not pts:
             continue
-        color = SCHEME_COLORS[scheme]
         coords = " ".join(f"{sx(s.k):.2f},{sy(s.mean_log10_loss):.2f}" for s in pts)
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.6"/>'
@@ -476,20 +486,18 @@ def emit_svg(summaries: Sequence[SweepSummary], path,
                         f'<line x1="{x - 3:.2f}" y1="{yy:.2f}" x2="{x + 3:.2f}" '
                         f'y2="{yy:.2f}" stroke="{color}" stroke-width="1"/>'
                     )
-            parts.append(_svg_marker(scheme, x, sy(s.mean_log10_loss), color))
+            parts.append(marker(x, sy(s.mean_log10_loss), color))
         lx = left + inner_w + 14
         parts.append(
             f'<line x1="{lx}" y1="{legend_y - 4}" x2="{lx + 22}" y2="{legend_y - 4}" '
             f'stroke="{color}" stroke-width="1.6"/>'
         )
-        parts.append(_svg_marker(scheme, lx + 11, legend_y - 4, color))
-        parts.append(f'<text x="{lx + 28}" y="{legend_y}">{SCHEME_LABELS[scheme]}</text>')
+        parts.append(marker(lx + 11, legend_y - 4, color))
+        parts.append(f'<text x="{lx + 28}" y="{legend_y}">{label}</text>')
         legend_y += 18
     if bound_curves:
         for label, pts in bound_curves:
-            coords = " ".join(
-                f"{sx(k):.2f},{sy(math.log10(max(v, LOG10_FLOOR))):.2f}" for k, v in pts
-            )
+            coords = " ".join(f"{sx(k):.2f},{sy(_clamped_log10(v)):.2f}" for k, v in pts)
             parts.append(
                 f'<polyline points="{coords}" fill="none" stroke="#777" '
                 'stroke-width="1.2" stroke-dasharray="5,3"/>'

@@ -119,6 +119,17 @@ class TestSimulate:
 
 
 class TestOracle:
+    @pytest.mark.parametrize("quantity, flags", [
+        ("beta", []), ("perm-moment", []), ("sum-prod", []), ("stochastic-terms", []),
+        ("keyup", ["--alphas", "0.1,0.2", "--betas", "1,-1"])])
+    def test_monte_carlo_is_only_for_expected_losses(self, capsys, quantity, flags):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "--quantity", quantity, *flags, "--method", "monte-carlo",
+                      "--samples", "10"])
+        assert exc.value.code == 2
+        assert f"--method monte-carlo applies to loss-ss and loss-rr, not {quantity}" in (
+            capsys.readouterr().err)
+
     def test_beta_example(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--quantity", "beta",
                                "--n", "2", "--eta-lmax", "0.5")
@@ -201,7 +212,7 @@ class TestOracle:
     @pytest.mark.parametrize("quantity, label", [("loss-ss", "single shuffling"),
                                                  ("loss-rr", "random reshuffling")])
     def test_loss_labels_are_the_scheme_labels(self, capsys, quantity, label):
-        assert experiments.SCHEME_LABELS[quantity.removeprefix("loss-")] == label
+        assert experiments.SCHEME_STYLES[quantity.removeprefix("loss-")].label == label
         code, out, _ = run_cli(capsys, "oracle", "--quantity", quantity, "--n", "10",
                                "--k", "3", "--auto-eta", "--lambda-max", "4")
         assert code == 0 and out.startswith(f"E[F(x_k)] {label} = ")
@@ -363,9 +374,17 @@ class TestSweepCommand:
         assert (code, out, err) == (1, "", f"error: jobs must be >= 1, got {jobs}\n")
         assert not out_dir.exists()
 
+    def test_auto_eta_is_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--construction", "ss", "--n", "8", "--k-values", "1,2",
+                      "--seeds", "2", "--auto-eta", "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --auto-eta" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_epochs_below_one_fail_before_any_work(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
-        for eta_flags in (["--eta", "0.01"], ["--auto-eta"]):
+        for eta_flags in (["--eta", "0.01"], []):
             code, out, err = run_cli(capsys, "sweep", "--construction", "ss", "--n", "8",
                                      "--k-values", "0,5", "--seeds", "2", "--jobs", "1",
                                      *eta_flags, "--out-dir", str(out_dir))

@@ -1060,23 +1060,3 @@ class TestSeedRule:
             engine.derive_seed(entropy, key)
         with pytest.raises(ValueError):
             engine.derive_seeds(entropy, [(0,) * len(key), key])
-
-
-class TestTrajectoryCsv:
-    def test_round_trippable_and_annotated(self, tmp_path):
-        p = model.build_ss_construction(4, 1.0, 1.0, 2.0)
-        cfg = RunConfig(scheme=Scheme.RANDOM_RESHUFFLE, eta=0.02, epochs=3,
-                        x0=[1.0, 0.0], seed=12)
-        traj = run_sgd(p, cfg)
-        path = tmp_path / "traj.csv"
-        engine.write_trajectory_csv(traj, path)
-        lines = path.read_text().splitlines()
-        meta = [l for l in lines if l.startswith("#")]
-        assert any("rng_algorithm_id" in l for l in meta)
-        header = [l for l in lines if not l.startswith("#")][0]
-        assert header == "epoch,x_1,x_2,loss"
-        rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
-        assert len(rows) == 3
-        for t, row in enumerate(rows):
-            assert int(row[0]) == t + 1
-            assert float(row[3]) == traj.losses[t]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -7,7 +8,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from shufflelab import experiments, model
+from shufflelab import engine, experiments, model
 from shufflelab.analysis import OracleRow
 from shufflelab.experiments import (
     SweepPlan,
@@ -25,6 +26,7 @@ from shufflelab.experiments import (
     read_summaries_csv,
     run_sweep,
     summarize,
+    write_trajectory_csv,
 )
 
 
@@ -281,7 +283,71 @@ class TestCsv:
         assert rec.log10_loss == -300.0
 
 
+class TestTrajectoryCsv:
+    def test_round_trippable_and_annotated(self, tmp_path):
+        p = model.build_ss_construction(4, 1.0, 1.0, 2.0)
+        cfg = engine.RunConfig(scheme=engine.Scheme.RANDOM_RESHUFFLE, eta=0.02, epochs=3,
+                               x0=[1.0, 0.0], seed=12)
+        traj = engine.run_sgd(p, cfg)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        lines = path.read_text().splitlines()
+        meta = [l for l in lines if l.startswith("#")]
+        assert any("rng_algorithm_id" in l for l in meta)
+        header = [l for l in lines if not l.startswith("#")][0]
+        assert header == "epoch,x_1,x_2,loss"
+        rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+        assert len(rows) == 3
+        for t, row in enumerate(rows):
+            assert int(row[0]) == t + 1
+            assert float(row[3]) == traj.losses[t]
+
+    def test_dyadic_run_bytes(self, tmp_path):
+        # every value is dyadic, so these bytes are the same on any platform
+        p, x0 = build_instance("ss", "worst-case", 2, 1.0, 1.0, 2.0)
+        cfg = engine.RunConfig(scheme="wr", eta=0.25, epochs=2, x0=x0, seed=0)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(engine.run_sgd(p, cfg), path)
+        assert path.read_text() == "\n".join([
+            "# scheme=wr eta=0.25 epochs=2 seed=0", "# x0=1.0,0.0",
+            f"# rng_algorithm_id={engine.RNG_ALGORITHM_ID}", "epoch,x_1,x_2,loss",
+            "1,0.5625,0.1875,0.193359375", "2,0.31640625,-0.015625,0.05030059814453125"]) + "\n"
+
+    def test_columns_follow_the_run_width(self, tmp_path):
+        p, x0 = build_instance("rr", "worst-case", 4, 1.0, 1.0, 2.0)  # a 3-d problem
+        cfg = engine.RunConfig(scheme="ss", eta=0.05, epochs=4, x0=x0, seed=1)
+        traj = engine.run_sgd_closed_form(p, cfg)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+        assert lines[0] == "epoch,x_1,x_2,x_3,loss"
+        assert [[float(c) for c in l.split(",")[1:]] for l in lines[1:]] == [
+            [*x, loss] for x, loss in zip(traj.points.tolist(), traj.losses.tolist())]
+
+
+class TestSchemeStyles:
+    def test_one_style_per_scheme_in_order(self):
+        styles = experiments.SCHEME_STYLES
+        assert tuple(styles) == experiments.SCHEME_ORDER
+        assert len({s.color for s in styles.values()}) == len(styles)
+        assert len({s.label for s in styles.values()}) == len(styles)
+        assert len({s.marker(10.0, 20.0, "red") for s in styles.values()}) == len(styles)
+
+
 class TestSvg:
+    def test_golden_bytes(self, tmp_path):
+        # k in {1, 10, 100} and powers of ten in the curve: every log10 is exact
+        means = {"wr": [(-1.0, 0.5), (-2.0, 0.25), (-3.0, 0.0)],
+                 "ss": [(-0.5, 0.0), (-2.5, 0.5), (-4.5, 0.125)],
+                 "rr": [(-0.75, 0.25), (-3.0, 0.0), (-5.0, 0.5)]}
+        summaries = [SweepSummary(scheme, k, mean, std, 4) for scheme, rows in means.items()
+                     for k, (mean, std) in zip((1, 10, 100), rows)]
+        curve = [(1, 1e-1), (10, 1e-3), (100, 1e-5)]
+        path = tmp_path / "golden.svg"
+        emit_svg(summaries, path, bound_curves=[("shape fit c=1", curve)], title="golden")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "56ce6be28032760592ed827ad3a398fea118ed19556b36a67f9a4c4314c54fb2")
+
     def test_emit_svg_structure(self, tmp_path):
         plan = tiny_plan()
         _, summaries = run_sweep(plan, jobs=1)
