@@ -8,6 +8,7 @@ no environment variables are consulted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,10 +27,11 @@ def _int_list(text: str) -> List[int]:
     return [int(v) for v in text.split(",") if v != ""]
 
 
-def _add_problem_flags(sub, include_scheme: bool = True):
+def _add_problem_flags(sub, include_scheme: bool = True,
+                       n_help: str = "number of components (even)"):
     sub.add_argument("--construction", choices=model.CONSTRUCTIONS, default="ss",
                      help="which lower-bound construction to instantiate")
-    sub.add_argument("--n", type=int, default=100, help="number of components (even)")
+    sub.add_argument("--n", type=int, default=100, help=n_help)
     sub.add_argument("--G", type=float, default=1.0, help="gradient-norm scale G")
     sub.add_argument("--lambda", dest="lam", type=float, default=1.0,
                      help="strong-convexity parameter")
@@ -57,6 +59,29 @@ def _resolve_eta(args, parser, n: int, k: int, lam: float) -> float:
     return args.eta
 
 
+class _NoteGiven(argparse.Action):
+    """argparse's `store` (`store_true` with nargs=0) that also records each
+    flag given on the command line in `args.given`, as {dest: flag}."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+        namespace.given = {**namespace.given, self.dest: self.option_strings[0]}
+
+
+# the flags each oracle quantity reads besides --quantity, --method and --out;
+# the Monte Carlo method also reads --samples and --seed
+_LOSS_READS = ("construction", "n", "G", "lam", "lam_max", "x0_preset", "k", "eta", "auto_eta")
+_ORACLE_READS = {
+    "beta": ("n", "eta_lmax"),
+    "perm-moment": ("n", "m"),
+    "sum-prod": ("n", "eta_lmax"),
+    "stochastic-terms": ("n", "eta_lmax"),
+    "keyup": ("alphas", "betas", "perm"),
+    "loss-ss": _LOSS_READS,
+    "loss-rr": _LOSS_READS,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shufflelab",
@@ -76,11 +101,15 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="use explicit per-step updates instead of the per-epoch maps")
 
     orc = subs.add_parser("oracle", help="evaluate an exact/Monte-Carlo expectation oracle")
-    orc.add_argument("--quantity", required=True,
-                     choices=("beta", "perm-moment", "sum-prod", "stochastic-terms",
-                              "keyup", "loss-ss", "loss-rr"))
-    _add_problem_flags(orc, include_scheme=False)  # then the oracle's own defaults replace theirs
-    orc.set_defaults(run=_cmd_oracle, construction=None, n=4, lam_max=4.0,
+    orc.register("action", None, _NoteGiven)  # argparse's default action, `store`
+    orc.register("action", "store_true",
+                 functools.partial(_NoteGiven, nargs=0, const=True, default=False))
+    orc.add_argument("--quantity", required=True, choices=tuple(_ORACLE_READS))
+    _add_problem_flags(orc, include_scheme=False, n_help=(
+        "number of components (even); beta enumerates all C(n, n/2) arrangements, "
+        f"so n <= {analysis.ENUMERATION_CAP} there, and the other quantities take any "
+        "even n"))  # then the oracle's own defaults replace theirs
+    orc.set_defaults(run=_cmd_oracle, given={}, construction=None, n=4, lam_max=4.0,
                      x0_preset="worst-case")
     orc.add_argument("--eta-lmax", type=float, default=0.5,
                      help="the product eta*lambda_max for pattern oracles")
@@ -157,12 +186,18 @@ def _cmd_oracle(args, parser) -> int:
     q = args.quantity
     if args.method == "monte-carlo" and q not in ("loss-ss", "loss-rr"):
         parser.error(f"--method monte-carlo applies to loss-ss and loss-rr, not {q}")
+    reads = _ORACLE_READS[q] + (("samples", "seed") if args.method == "monte-carlo" else ())
+    unread = [flag for dest, flag in args.given.items()
+              if dest not in reads + ("quantity", "method", "out")]
+    if unread:
+        parser.error(f"--quantity {q} with --method {args.method} does not read "
+                     + ", ".join(unread))
     if q in ("beta", "perm-moment", "sum-prod", "stochastic-terms"):
         try:
             model.check_even_n(args.n)
         except ValueError as exc:
             parser.error(f"--n: {exc}")
-    if q in ("beta", "sum-prod", "stochastic-terms") and args.n > analysis.ENUMERATION_CAP:
+    if q == "beta" and args.n > analysis.ENUMERATION_CAP:
         parser.error(f"--n must be even and within [2, {analysis.ENUMERATION_CAP}] "
                      f"for enumeration oracles, got {args.n}")
     if q == "perm-moment" and not 1 <= args.m <= args.n - 1:  # closed form: no enumeration cap

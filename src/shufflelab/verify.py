@@ -101,18 +101,23 @@ def _check_keyup_telescoping() -> CheckResult:
     )
 
 
-def _check_keyup_matches_beta() -> CheckResult:
+def _check_keyup_matches_enumeration() -> CheckResult:
+    """The scan behind `expected_keyup_square` against enumeration, on both
+    constructions' column shapes: `beta_exact` for equal alphas, the mean
+    square of `two_valued_tail_products` for half-zero alphas."""
     worst = 0.0
-    for n in (4, 8):
-        for alpha in (0.1, 0.5):
-            half = n // 2
-            alphas = np.full(n, alpha)
-            betas = np.array([1.0] * half + [-1.0] * half)
-            e_sq = analysis.expected_keyup_square(alphas, betas)
-            ref = analysis.beta_exact(n, alpha, 1.0)
-            worst = max(worst, abs(e_sq - ref) / ref)
+    for n in (4, 16):
+        for alpha in (0.01, 0.1, 0.5):
+            for shape in ("equal", "half-zero"):
+                alphas, betas = calibrate._shape_data(shape, n, alpha)
+                e_sq = analysis.expected_keyup_square(alphas, betas)
+                if shape == "equal":
+                    ref = analysis.beta_exact(n, alpha, 1.0)
+                else:
+                    ref = float(np.mean(analysis.two_valued_tail_products(alphas, betas, 1.0) ** 2))
+                worst = max(worst, abs(e_sq - ref) / ref)
     return _result(
-        "E[keyup^2] with equal alphas reproduces beta",
+        "E[keyup^2] by the scan == enumeration (beta for equal alphas), n=4 and 16",
         worst <= 1e-12,
         f"worst relative gap={worst:.3g}",
     )
@@ -124,7 +129,7 @@ def lemmas_suite() -> List[CheckResult]:
         _check_alternating_sum_bounds(),
         _check_beta_exchangeability(),
         _check_keyup_telescoping(),
-        _check_keyup_matches_beta(),
+        _check_keyup_matches_enumeration(),
     ]
 
 

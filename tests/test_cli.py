@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -176,6 +177,44 @@ class TestOracle:
             cli.main(["oracle", "--quantity", "beta", "--n", "18"])
         assert exc.value.code == 2
         assert "even" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quantity, flags, unread", [
+        ("beta", ["--n", "4", "--eta", "0.3", "--k", "99", "--samples", "5", "--seed", "3",
+                  "--G", "7"], "--eta, --k, --samples, --seed, --G"),
+        ("beta", ["--seed", "0"], "--seed"),  # given at its default value
+        ("beta", ["--k=5"], "--k"),
+        ("perm-moment", ["--eta-lmax", "0.3"], "--eta-lmax"),
+        ("sum-prod", ["--lambda-max", "2", "--lambda", "1"], "--lambda-max, --lambda"),
+        ("stochastic-terms", ["--auto-eta"], "--auto-eta"),
+        ("keyup", ["--alphas", "0.5,0.5", "--betas", "1,-1", "--n", "4"], "--n"),
+        ("loss-rr", ["--auto-eta", "--samples", "5"], "--samples"),
+        ("loss-ss", ["--auto-eta", "--m", "2", "--eta-lmax", "0.1"], "--m, --eta-lmax"),
+    ])
+    def test_a_flag_the_quantity_does_not_read_is_a_usage_error(self, capsys, quantity,
+                                                                flags, unread):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "--quantity", quantity, *flags])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f" does not read {unread}\n")
+
+    @pytest.mark.parametrize("quantity, flags, label", [
+        ("sum-prod", ["--n", "100", "--eta-lmax", "0.005"], "sum-prod expectation"),
+        ("stochastic-terms", ["--n", "100", "--eta-lmax", "0.005"],
+         "stochastic-terms expectation"),
+        ("loss-rr", ["--n", "18", "--auto-eta"], "E[F(x_k)] random reshuffling"),
+        ("loss-ss", ["--n", "500", "--k", "40", "--auto-eta", "--lambda-max", "200"],
+         "E[F(x_k)] single shuffling"),
+    ])
+    def test_scanning_quantities_take_n_past_the_cap(self, capsys, quantity, flags, label):
+        code, out, _ = run_cli(capsys, "oracle", "--quantity", quantity, *flags)
+        values = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
+        assert code == 0 and math.isfinite(float(values[label]))
+
+    def test_n_help_names_the_enumerating_quantity(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["oracle", "--help"])
+        assert "beta enumerates all C(n, n/2)" in " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize("quantity, n, message", [
         ("beta", "7", "--n: n must be even and an integer >= 2, got 7"),
