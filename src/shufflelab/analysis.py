@@ -97,28 +97,46 @@ def beta_lower_envelope(n: int, eta: float, lam_max: float) -> float:
 # the tail-product scalar and its expectations
 
 
-def keyup_quantity(alphas, betas, perm) -> float:
-    """sum_j beta_{perm(j)} * prod_{i>j} (1 - alpha_{perm(i)}), 0-based perm.
+def _coordinate_data(a_name: str, a, b_name: str, b) -> Tuple[np.ndarray, np.ndarray]:
+    """One coordinate's (a_i, b_i) data as two float arrays: ValueError,
+    naming the argument, unless both are nonempty, 1-D, finite and of equal
+    length."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    for name, values in ((a_name, a), (b_name, b)):
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError(f"{name} must be a nonempty 1-D sequence, got shape {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
+    if a.shape != b.shape:
+        raise ValueError(f"{a_name} and {b_name} must have equal length, "
+                         f"got {a.size} and {b.size}")
+    return a, b
 
-    Constraints: alpha_i in [0,1], |beta_i| <= 1, sum beta_i = 0 (to 1e-12).
-    Reversing the permutation turns the suffix products into prefix products
-    over the forward order (substitute j -> n-1-j).
-    """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    betas = np.asarray(betas, dtype=np.float64)
-    n = alphas.shape[0]
-    if n == 0:
-        raise ValueError("alphas must be nonempty")
-    if betas.shape != (n,):
-        raise ValueError("alphas and betas must have equal length")
+
+def _keyup_data(alphas, betas) -> Tuple[np.ndarray, np.ndarray]:
+    """The one domain of `keyup_quantity` and `expected_keyup_square`:
+    alpha_i in [0,1], |beta_i| <= 1, sum beta_i = 0 (to 1e-12)."""
+    alphas, betas = _coordinate_data("alphas", alphas, "betas", betas)
     if np.any(alphas < 0) or np.any(alphas > 1):
         raise ValueError("alphas must lie in [0, 1]")
     if np.any(np.abs(betas) > 1 + 1e-12):
         raise ValueError("betas must lie in [-1, 1]")
     if abs(float(np.sum(betas))) > 1e-12:
         raise ValueError("betas must sum to zero")
+    return alphas, betas
+
+
+def keyup_quantity(alphas, betas, perm) -> float:
+    """sum_j beta_{perm(j)} * prod_{i>j} (1 - alpha_{perm(i)}), 0-based perm,
+    on the data `_keyup_data` accepts.
+
+    Reversing the permutation turns the suffix products into prefix products
+    over the forward order (substitute j -> n-1-j).
+    """
+    alphas, betas = _keyup_data(alphas, betas)
     perm = np.asarray(perm, dtype=np.int64)
-    if sorted(perm.tolist()) != list(range(n)):
+    if sorted(perm.tolist()) != list(range(len(alphas))):
         raise ValueError("perm is not a permutation of range(n)")
     _, q = _engine.tail_products(1.0 - alphas[perm], betas[perm])
     return float(q)
@@ -245,9 +263,10 @@ def _moments_of(a, b, eta: float) -> Tuple[float, ...]:
 
 
 def expected_keyup_square(alphas, betas) -> float:
-    """E over uniform permutations of keyup_quantity^2, exact, for the
-    two-valued balanced (alpha, beta) data of `_moments_of`, at any n."""
-    return _moments_of(alphas, betas, 1.0)[3]
+    """E over uniform permutations of keyup_quantity^2, exact, for data in
+    `keyup_quantity`'s domain that is also two-valued and balanced (see
+    `_moments_of`), at any n."""
+    return _moments_of(*_keyup_data(alphas, betas), 1.0)[3]
 
 
 def perm_moment_formula(m: int, n: int) -> float:
@@ -354,14 +373,12 @@ class PermutationMoments:
 def permutation_moments(curvatures, linears, eta: float) -> PermutationMoments:
     """Five exact moments of (P, Q) for one coordinate's (a_i, b_i) data.
 
-    Needs at most two distinct (a, b) pairs with balanced counts (see
-    `_moments_of`); any n.
+    Needs nonempty, finite 1-D data of equal length (ValueError naming the
+    argument otherwise) with at most two distinct (a, b) pairs in balanced
+    counts (see `_moments_of`); any n.
     """
     _engine.check_eta(eta)
-    a = np.asarray(curvatures, dtype=np.float64)
-    b = np.asarray(linears, dtype=np.float64)
-    if b.shape != (a.shape[0],):
-        raise ValueError("curvatures and linears must have equal length")
+    a, b = _coordinate_data("curvatures", curvatures, "linears", linears)
     return PermutationMoments(*_moments_of(a, b, eta))
 
 

@@ -345,12 +345,11 @@ def _cmd_reproduce_fig1(args, parser) -> int:
     if args.scale == "paper":
         print(
             "warning: paper scale runs 3 schemes x 12 k-values x 100 seeds on "
-            "n=500, about 34 s of CPU (about 17 s wall at --jobs 2 on a 2-vCPU Xeon)",
+            "n=500, about 23 s of CPU (about 12 s wall at --jobs 2 on a 2-vCPU Xeon)",
             file=sys.stderr,
         )
-    for plan in plans:
+    for plan, (records, summaries) in zip(plans, experiments.run_sweeps(plans, jobs=args.jobs)):
         construction = plan.construction
-        records, summaries = experiments.run_sweep(plan, jobs=args.jobs)
         rec_path = os.path.join(args.out_dir, f"fig1_{construction}_records.csv")
         svg_path = os.path.join(args.out_dir, f"fig1_{construction}.svg")
         experiments.emit_records_csv(records, rec_path, plan)

@@ -20,6 +20,15 @@ makes exactly the draws of its own stream, seeded with its own seed; the
 Fisher-Yates pass, the tail products and the map recurrence are shared
 across the batch.
 
+`run_sgd_closed_form_coupled` shares the index stream across problems: runs
+of one n with the same scheme, eta, epochs and seed make the same draws and
+the same permutations, whatever their problems, so `_chunked_iterates`
+reads the stream and runs Fisher-Yates once per pass, then maps the
+indices through each problem's own `[1 - eta*A | B]` table and recurrence
+(or single-shuffling closed form).  Each problem's trajectory is its
+`run_sgd_closed_form` one bit for bit; a lone problem is the one-problem
+case of the same loop.
+
 Two loops are sequential: Fisher-Yates steps through a row's positions, and
 the map recurrence y <- contraction*y + noise through a run's epochs.  Each
 picks Python scalars or one numpy call per step by its width, the rows of a
@@ -757,41 +766,44 @@ def _epoch_maps(table: np.ndarray, shared, seqs: np.ndarray) -> Tuple[np.ndarray
     return np.broadcast_to(contraction, noise.shape), noise
 
 
-def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.ndarray, seeds):
-    """Yield (first, ys) chunk by chunk: ys of shape (epochs, runs, d) holds
-    the diagonal-frame end-of-epoch iterates of the runs seeded by
-    seeds[first:first + runs], over the chunk's epochs.  A block of one run
-    has no runs axis: ys is (epochs, d).
+def _chunked_iterates(problems, scheme: Scheme, eta: float, k: int, y0s, seeds):
+    """Yield (first, ys) chunk by chunk: ys[i], of shape (epochs, runs, d_i),
+    holds problem i's diagonal-frame end-of-epoch iterates from y0s[i] for
+    the runs seeded by seeds[first:first + runs], over the chunk's epochs.
+    A block of one run has no runs axis: ys[i] is (epochs, d_i).
 
-    A chunk holds whole runs when k*n fits in `_CHUNK_ENTRIES`, else about
-    `_CHUNK_ENTRIES // n` epochs of one run; a run's chunks come in epoch
-    order.  Each run makes its own stream's draws, a block of at least
-    `_ARRAY_RUNS` runs as array expressions (see the module docstring).  A
-    pass draws one or more chunks' epochs (see `_PASS_EPOCHS`), permuted in
-    one Fisher-Yates pass under shuffling; each chunk then takes one gather
-    from the `[1 - eta*A | B]` table and one `tail_products` call, or only
-    its noise sum when every component shares its factors (`_epoch_maps`).
-    Single shuffling draws one permutation per run and takes
+    The problems share n, and the runs of every problem make the same draws
+    and the same permutations: each chunk's indices are drawn and permuted
+    once, then mapped through each problem's own table.  A chunk holds whole
+    runs when k*n fits in `_CHUNK_ENTRIES`, else about `_CHUNK_ENTRIES // n`
+    epochs of one run; a run's chunks come in epoch order.  Each run makes
+    its own stream's draws, a block of at least `_ARRAY_RUNS` runs as array
+    expressions (see the module docstring).  A pass draws one or more
+    chunks' epochs (see `_PASS_EPOCHS`), permuted in one Fisher-Yates pass
+    under shuffling; each chunk then takes, per problem, one gather from its
+    `[1 - eta*A | B]` table and one `tail_products` call, or only its noise
+    sum when every component shares its factors (`_epoch_maps`).  Single
+    shuffling draws one permutation per run and takes
     x_t = S^t x0 + eta * (1-S^t)/(1-S) * X for all k epochs at once, so its
     chunks always hold whole runs; zero-curvature directions (S == 1) take
     the t-limit.  The other schemes scale the chunk's noise by eta once,
     then apply their maps in order over the (runs, d) block.
     """
-    n = p.n
+    n = problems[0].n
     single = scheme is Scheme.SINGLE_SHUFFLE
     uniform = scheme is Scheme.WITH_REPLACEMENT
     epochs = k if single else min(k, max(1, _CHUNK_ENTRIES // n))
     runs = max(1, _CHUNK_ENTRIES // (epochs * n))
     # Only a run alone in its block spans several chunks, so only it widens.
     per_pass = epochs * max(1, min(_PASS_EPOCHS // epochs, _PASS_CHUNKS))
-    table, shared = _map_table(p, eta)
+    maps = [_map_table(p, eta) for p in problems]
     bounds = np.full(n, n) if uniform else _fisher_yates_bounds(n, 1)[0]  # one epoch's
     seeds = np.asarray(seeds, dtype=np.uint64)
     for first in range(0, len(seeds), runs):
         block = seeds[first:first + runs]
         streams = ([_Stream(seed) for seed in block.tolist()]
                    if len(block) < _ARRAY_RUNS else None)
-        y = y0
+        starts = list(y0s)  # each problem's iterates before the chunk
         for t0 in range(0, k, per_pass):
             drawn = 1 if single else min(per_pass, k - t0)
             if streams is None:
@@ -803,43 +815,88 @@ def _chunked_iterates(p: Problem, scheme: Scheme, eta: float, k: int, y0: np.nda
                 draws = np.empty((drawn, len(streams), len(bounds)), dtype=np.int64)
                 for r, stream in enumerate(streams):
                     draws[:, r] = stream.integers(bounds, drawn)
+            # `seqs` may be scratch (the Fisher-Yates pass's work array): no
+            # `_epoch_maps` call requests that name, so it stays valid while
+            # every problem of every chunk of the pass is gathered from it.
             seqs = draws if uniform else _fisher_yates(
                 draws.reshape(-1, len(bounds))).reshape(draws.shape[:-1] + (n,))
             chunks = []
             for c0 in range(0, len(seqs), epochs):
-                contraction, noise = _epoch_maps(table, shared, seqs[c0:c0 + epochs])
-                if single:
-                    t = np.arange(1, k + 1).reshape((k,) + (1,) * (contraction.ndim - 1))
-                    ys = contraction**t * y0 + eta * _geometric_factor(contraction, t) * noise
-                else:
-                    noise *= eta
-                    ys = _apply_maps(contraction, noise, y)
-                    y = ys[-1]
-                chunks.append(ys)
+                rows, chunk = seqs[c0:c0 + epochs], []
+                for i, (table, shared) in enumerate(maps):
+                    contraction, noise = _epoch_maps(table, shared, rows)
+                    if single:
+                        t = np.arange(1, k + 1).reshape((k,) + (1,) * (contraction.ndim - 1))
+                        ys = (contraction**t * starts[i]
+                              + eta * _geometric_factor(contraction, t) * noise)
+                    else:
+                        noise *= eta
+                        ys = _apply_maps(contraction, noise, starts[i])
+                        starts[i] = ys[-1]
+                    chunk.append(ys)
+                chunks.append(chunk)
             del draws, seqs  # scratch views are not held across a yield
-            for ys in chunks:
-                yield first, ys
+            for chunk in chunks:
+                yield first, chunk
 
 
 def run_sgd_closed_form(p: Problem, cfg: RunConfig) -> Trajectory:
     """Trajectory via per-epoch affine maps instead of explicit steps.
 
     Makes the draws `run_sgd`'s generator makes, so the two agree per seed
-    (to rounding).  This is the one-run case of `_chunked_iterates`: the
-    draws of a Fisher-Yates pass, about `_CHUNK_ENTRIES // n` epochs or up to
-    `_PASS_EPOCHS`, come from one read of the run's stream (the same draws
-    as one generator call per epoch, see the module docstring), one pass
-    permutes them and one `_epoch_maps` call maps each chunk of them;
-    single shuffling uses the geometric closed form.  Losses are evaluated
-    on the diagonal-frame iterates.
+    (to rounding).  This is the one-run, one-problem case of
+    `_chunked_iterates`: the draws of a Fisher-Yates pass, about
+    `_CHUNK_ENTRIES // n` epochs or up to `_PASS_EPOCHS`, come from one read
+    of the run's stream (the same draws as one generator call per epoch, see
+    the module docstring), one pass permutes them and one `_epoch_maps` call
+    maps each chunk of them; single shuffling uses the geometric closed
+    form.  Losses are evaluated on the diagonal-frame iterates.
     """
     y0 = model._to_diag_frame(p, cfg.x0)
     _warn_if_large_eta(p, cfg.eta)
-    chunks = [ys for _, ys in _chunked_iterates(p, cfg.scheme, cfg.eta, cfg.epochs, y0,
-                                                 [cfg.seed])]
+    return _trajectory(p, cfg, [ys for _, (ys,) in _chunked_iterates(
+        [p], cfg.scheme, cfg.eta, cfg.epochs, [y0], [cfg.seed])])
+
+
+def _trajectory(p: Problem, cfg: RunConfig, chunks) -> Trajectory:
+    """A run's Trajectory from its chunks of diagonal-frame iterates."""
     ys = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     points = ys if p.conjugation is None else ys @ p.conjugation.T
     return Trajectory(points=points, losses=model.diagonal_objective(p, ys), config=cfg)
+
+
+# the RunConfig fields that coupled runs share, besides the problems' n
+_COUPLED_FIELDS = ("scheme", "eta", "epochs", "seed")
+
+
+def run_sgd_closed_form_coupled(runs) -> List[Trajectory]:
+    """`run_sgd_closed_form(p, cfg)` of every (p, cfg) pair of `runs`, bit for
+    bit, from one index stream.
+
+    The pairs' problems share n and their configs agree on scheme, eta,
+    epochs and seed (x0 may differ, and the problems' dimensions), so every
+    run makes the same draws and the same permutations: `_chunked_iterates`
+    draws and permutes them once and maps them through each problem's own
+    table.  Rejects pairs that differ in n or one of those fields, naming it.
+    """
+    runs = list(runs)
+    if not runs:
+        raise ValueError("coupled runs need at least one (problem, config) pair")
+    p0, cfg = runs[0]
+    for p, other in runs[1:]:
+        for name, a, b in [("n", p0.n, p.n)] + [
+                (name, getattr(cfg, name), getattr(other, name)) for name in _COUPLED_FIELDS]:
+            if a != b:
+                raise ValueError(f"coupled runs must agree on {name}, got {a!r} and {b!r}")
+    y0s = [model._to_diag_frame(p, c.x0) for p, c in runs]
+    for p, _ in runs:
+        _warn_if_large_eta(p, cfg.eta)
+    chunks = [[] for _ in runs]
+    for _, ys in _chunked_iterates([p for p, _ in runs], cfg.scheme, cfg.eta, cfg.epochs, y0s,
+                                   [cfg.seed]):
+        for parts, part in zip(chunks, ys):
+            parts.append(part)
+    return [_trajectory(p, c, parts) for (p, c), parts in zip(runs, chunks)]
 
 
 def final_losses(p: Problem, scheme: Scheme, eta: float, k: int, x0, seeds) -> np.ndarray:
@@ -857,7 +914,7 @@ def final_losses(p: Problem, scheme: Scheme, eta: float, k: int, x0, seeds) -> n
     y0 = model._to_diag_frame(p, x0)
     _warn_if_large_eta(p, eta)
     last = np.empty((len(seeds), p.dim))
-    for first, ys in _chunked_iterates(p, scheme, eta, k, y0, seeds):
+    for first, (ys,) in _chunked_iterates([p], scheme, eta, k, [y0], seeds):
         final = ys[-1].reshape(-1, p.dim)  # a run's final chunk is written last
         last[first:first + len(final)] = final
     return model.diagonal_objective(p, last)

@@ -198,19 +198,26 @@ def _clamped_log10(loss: float) -> float:
     return math.log10(max(loss, LOG10_FLOOR))
 
 
-def _run_cell(plan: SweepPlan, scheme_tag: str, k: int) -> List[SweepRecord]:
-    p, x0 = resolve_problem(plan)
+def _run_cell(plans: Sequence[SweepPlan], scheme_tag: str, k: int) -> List[List[SweepRecord]]:
+    """One (scheme, k) cell of every plan of a group, one record list per plan:
+    the plans differ only in construction, so a seed index's run of each
+    plan makes the same draws."""
+    instances = [resolve_problem(plan) for plan in plans]
+    plan = plans[0]
     eta = plan.eta_for(k)
     key = _cell_key(plan, scheme_tag, k)
     seeds = engine.derive_seeds(plan.seed_base, [key + (s,) for s in range(plan.seeds)])
-    records = []
+    records = [[] for _ in plans]
     for s, seed in enumerate(seeds):
-        cfg = engine.RunConfig(scheme=scheme_tag, eta=eta, epochs=k, x0=x0, seed=seed)
-        loss = engine.run_sgd_closed_form(p, cfg).final_loss
-        records.append(
-            SweepRecord(scheme=scheme_tag, k=k, seed=s, final_loss=loss,
-                        log10_loss=_clamped_log10(loss))
-        )
+        runs = [(p, engine.RunConfig(scheme=scheme_tag, eta=eta, epochs=k, x0=x0, seed=seed))
+                for p, x0 in instances]
+        # a lone plan keeps one run_sgd_closed_form call per run, as perfbench counts them
+        trajs = ([engine.run_sgd_closed_form(*runs[0])] if len(runs) == 1
+                 else engine.run_sgd_closed_form_coupled(runs))
+        for out, traj in zip(records, trajs):
+            loss = traj.final_loss
+            out.append(SweepRecord(scheme=scheme_tag, k=k, seed=s, final_loss=loss,
+                                   log10_loss=_clamped_log10(loss)))
     return records
 
 
@@ -239,34 +246,63 @@ def check_jobs(jobs: Optional[int]) -> None:
 
 def run_sweep(plan: SweepPlan, jobs: Optional[int] = None
               ) -> Tuple[List[SweepRecord], List[SweepSummary]]:
-    """All three schemes over the plan's grid; deterministic given the plan.
+    """All three schemes over the plan's grid; deterministic given the plan."""
+    return run_sweeps([plan], jobs)[0]
 
-    Cells parallelize over (scheme, k) and are submitted largest k first;
-    aggregation reads results back in (scheme, k, seed) order, so neither
-    submission order nor worker scheduling changes the output.
+
+def _check_group(plans: Sequence[SweepPlan]) -> None:
+    """Reject an empty group, or plans that differ in a field other than
+    construction, naming the field."""
+    if not plans:
+        raise ValueError("a sweep group needs at least one plan")
+    for plan in plans[1:]:
+        for f in fields(SweepPlan):
+            a, b = getattr(plans[0], f.name), getattr(plan, f.name)
+            if f.name != "construction" and a != b:
+                raise ValueError(f"plans of one sweep group must agree on {f.name}, "
+                                 f"got {a!r} and {b!r}")
+
+
+def run_sweeps(plans: Sequence[SweepPlan], jobs: Optional[int] = None
+               ) -> List[Tuple[List[SweepRecord], List[SweepSummary]]]:
+    """`run_sweep` of every plan, from one index stream per run.
+
+    The plans differ only in construction; each keeps its own problem, x0,
+    assumption check, records and summaries.  Seeds derive from the seed
+    base, scheme, k and seed index, never the construction, so a run of
+    each plan makes the same draws: one cell per (scheme, k) runs the whole
+    group, each run's indices drawn and permuted once for every problem
+    (`engine.run_sgd_closed_form_coupled`).  Cells parallelize over
+    (scheme, k) and are submitted largest k first; aggregation reads results
+    back in (scheme, k, seed) order, so neither submission order nor worker
+    scheduling changes the output.
     """
+    plans = list(plans)
     check_jobs(jobs)
-    p, x0 = resolve_problem(plan)
-    report = model.validate_assumptions(p, x0, max(plan.k_values))
-    if not report.all_passed:
-        failed = ", ".join(c.name for c in report.failed())
-        engine.warn_caller(f"plan violates assumption clauses: {failed}")
-    tasks = [(scheme, k) for scheme in SCHEME_ORDER for k in plan.k_values]
+    _check_group(plans)
+    for plan in plans:
+        p, x0 = resolve_problem(plan)
+        report = model.validate_assumptions(p, x0, max(plan.k_values))
+        if not report.all_passed:
+            failed = ", ".join(c.name for c in report.failed())
+            engine.warn_caller(f"plan violates assumption clauses: {failed}")
+    tasks = [(scheme, k) for scheme in SCHEME_ORDER for k in plans[0].k_values]
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             # Largest k first, so the costliest cells do not start last and
             # set the finish; the stable sort keeps scheme order within a k.
-            futures = {t: pool.submit(_run_cell, plan, *t)
+            futures = {t: pool.submit(_run_cell, plans, *t)
                        for t in sorted(tasks, key=lambda t: -t[1])}
             cells = {t: futures[t].result() for t in tasks}
     else:
-        cells = {t: _run_cell(plan, *t) for t in tasks}
-    records: List[SweepRecord] = []
-    for t in tasks:
-        records.extend(cells[t])
-    return records, summarize(records)
+        cells = {t: _run_cell(plans, *t) for t in tasks}
+    out = []
+    for i in range(len(plans)):
+        records = [r for t in tasks for r in cells[t][i]]
+        out.append((records, summarize(records)))
+    return out
 
 
 def fit_loglog_slope(summaries: Sequence[SweepSummary]) -> Tuple[float, float, float]:

@@ -261,12 +261,13 @@ def conjugation_suite() -> List[CheckResult]:
     n, k = 6, 3
     worst_pt = 0.0
     worst_loss = 0.0
+    problems = [build(n, 1.0, 1.0, 4.0)
+                for build in (model.build_ss_construction, model.build_rr_construction)]
     for i in range(rotations):
-        for build, dim in ((model.build_ss_construction, 2), (model.build_rr_construction, 3)):
-            p = build(n, 1.0, 1.0, 4.0)
-            O = random_rotation(dim, rng)
+        for p in problems:
+            O = random_rotation(p.dim, rng)
             pc = model.conjugate(p, O)
-            x0 = rng.uniform(-1.0, 1.0, size=dim)
+            x0 = rng.uniform(-1.0, 1.0, size=p.dim)
             scheme = list(engine.Scheme)[i % 3]
             run_seed = int(rng.integers(0, 2**63))
             eta = rng.uniform(0.05, 0.2)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -206,6 +207,20 @@ class TestKeyup:
         with pytest.raises(UnsupportedInstanceError):
             expected_keyup_square([0.1, 0.2, 0.3, 0.4], [0.5, -0.5, 0.25, -0.25])
 
+    @pytest.mark.parametrize("alphas, betas, message", [
+        ([0.1, 0.2], [5.0, 3.0], "betas must lie in [-1, 1]"),
+        ([0.1, 0.2], [0.5, 0.25], "betas must sum to zero"),
+        ([1.5, -0.2], [1.0, -1.0], "alphas must lie in [0, 1]"),
+        ([math.nan, 0.2], [1.0, -1.0], "alphas must be finite"),
+        ([0.1, 0.2], [1.0, -1.0, 0.0], "alphas and betas must have equal length, got 2 and 3"),
+        ([], [], "alphas must be a nonempty 1-D sequence, got shape (0,)"),
+    ])
+    def test_expected_square_shares_the_keyup_domain(self, alphas, betas, message):
+        for oracle in (lambda: keyup_quantity(alphas, betas, range(len(alphas))),
+                       lambda: expected_keyup_square(alphas, betas)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                oracle()
+
 
 class TestPermMoment:
     def test_example_values(self):
@@ -307,6 +322,19 @@ class TestPermutationMoments:
     def test_bad_eta_rejected(self, eta, message):
         with pytest.raises(ValueError, match=message):
             permutation_moments([2.0] * 4, [0.5, 0.5, -0.5, -0.5], eta)
+
+    @pytest.mark.parametrize("curvatures, linears, message", [
+        ([math.nan, 1.0], [0.5, -0.5], "curvatures must be finite"),
+        ([1.0, 1.0], [math.inf, -0.5], "linears must be finite"),
+        ([[1.0, 1.0]], [0.5, -0.5], "curvatures must be a nonempty 1-D sequence, got shape (1, 2)"),
+        (1.0, [0.5, -0.5], "curvatures must be a nonempty 1-D sequence, got shape ()"),
+        ([1.0, 1.0], [[0.5, -0.5]], "linears must be a nonempty 1-D sequence, got shape (1, 2)"),
+        ([1.0, 1.0, 1.0], [0.5, -0.5], "curvatures and linears must have equal length, got 3 and 2"),
+        ([], [], "curvatures must be a nonempty 1-D sequence, got shape (0,)"),
+    ])
+    def test_bad_data_rejected(self, curvatures, linears, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            permutation_moments(curvatures, linears, 0.1)
 
 
 ALPHAS = (0.001, 0.01, 0.1, 0.5, 1.0)  # eta * lam_max

@@ -456,13 +456,14 @@ class TestReproduceFig1:
 
     def test_runs_every_construction(self, capsys, tmp_path, monkeypatch):
         ran = []
-        real = experiments.run_sweep
+        real = experiments.run_sweeps
 
-        def small_sweep(plan, jobs=None):
-            ran.append(plan.construction)
-            return real(dataclasses.replace(plan, k_values=(10, 25), seeds=2), jobs=1)
+        def small_sweeps(plans, jobs=None):
+            ran.extend(plan.construction for plan in plans)
+            return real([dataclasses.replace(plan, k_values=(10, 25), seeds=2) for plan in plans],
+                        jobs=1)
 
-        monkeypatch.setattr(experiments, "run_sweep", small_sweep)
+        monkeypatch.setattr(experiments, "run_sweeps", small_sweeps)
         out_dir = tmp_path / "out"
         assert run_cli(capsys, "reproduce-fig1", "--out-dir", str(out_dir), "--jobs", "1")[0] == 0
         assert tuple(ran) == model.CONSTRUCTIONS

@@ -523,6 +523,69 @@ class TestChunkedRuns:
         np.testing.assert_array_equal(run_sgd_closed_form(p, cfg).points, points)
 
 
+def coupled_problems(n: int):
+    """(problem, x0) pairs of one n: the 2-d construction, whose components
+    share their factors, the 3-d one, whose third factor column varies, and
+    the 3-d one rotated."""
+    O = random_rotation(3, np.random.default_rng(6))
+    rr = model.build_rr_construction(n, 1.0, 1.0, 8.0)
+    return [(model.build_ss_construction(n, 1.0, 1.0, 8.0), np.array([1.0, 0.5])),
+            (rr, np.array([0.5, -1.0, 0.25])),
+            (model.conjugate(rr, O), O @ np.array([1.0, 0.5, -0.5]))]
+
+
+class TestCoupledRuns:
+    """One index stream mapped through several problems equals one
+    `run_sgd_closed_form` call per problem, bit for bit."""
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("k", [1, 10, 400])
+    def test_equals_lone_runs(self, scheme, k):
+        n = 100
+        if k == 400:  # several chunks, and several Fisher-Yates passes
+            assert k > 2 * (engine._CHUNK_ENTRIES // n)
+        pairs = coupled_problems(n)
+        runs = [(p, RunConfig(scheme, recommended_eta(n, k, 1.0), k, x0, 2021))
+                for p, x0 in pairs]
+        coupled = engine.run_sgd_closed_form_coupled(runs)
+        assert len(coupled) == len(runs)
+        for (p, cfg), traj in zip(runs, coupled):
+            lone = run_sgd_closed_form(p, cfg)
+            assert traj.config is cfg
+            np.testing.assert_array_equal(traj.points, lone.points)
+            np.testing.assert_array_equal(traj.losses, lone.losses)
+            if scheme is not Scheme.SINGLE_SHUFFLE:
+                np.testing.assert_array_equal(traj.points, per_epoch_closed_form(p, cfg)[0])
+
+    def test_order_of_the_problems_changes_nothing(self):
+        runs = [(p, RunConfig(Scheme.RANDOM_RESHUFFLE, 0.01, 30, x0, 5))
+                for p, x0 in coupled_problems(20)]
+        forward = engine.run_sgd_closed_form_coupled(runs)
+        backward = engine.run_sgd_closed_form_coupled(runs[::-1])[::-1]
+        for a, b in zip(forward, backward):
+            np.testing.assert_array_equal(a.points, b.points)
+
+    def test_unequal_n_rejected(self):
+        runs = [(p, RunConfig(Scheme.RANDOM_RESHUFFLE, 0.01, 3, x0, 5))
+                for p, x0 in (coupled_problems(10)[0], coupled_problems(12)[1])]
+        with pytest.raises(ValueError, match="^coupled runs must agree on n, got 10 and 12$"):
+            engine.run_sgd_closed_form_coupled(runs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("scheme", Scheme.SINGLE_SHUFFLE), ("eta", 0.02), ("epochs", 4), ("seed", 6)])
+    def test_mismatched_configs_rejected(self, field, value):
+        (p, x0), (q, y0) = coupled_problems(10)[:2]
+        cfg = RunConfig(Scheme.RANDOM_RESHUFFLE, 0.01, 3, x0, 5)
+        other = dataclasses.replace(RunConfig(Scheme.RANDOM_RESHUFFLE, 0.01, 3, y0, 5),
+                                    **{field: value})
+        with pytest.raises(ValueError, match=f"^coupled runs must agree on {field}, got "):
+            engine.run_sgd_closed_form_coupled([(p, cfg), (q, other)])
+
+    def test_no_runs_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            engine.run_sgd_closed_form_coupled([])
+
+
 class TestFinalLosses:
     """Batched final losses against one `run_sgd_closed_form` call per run."""
 

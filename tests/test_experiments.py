@@ -193,6 +193,65 @@ class TestRunSweep:
             run_sweep(plan, jobs=1)
 
 
+def fig1_group(**overrides):
+    """One desk-like plan per construction, differing only in construction."""
+    return [tiny_plan(construction=c, **overrides) for c in model.CONSTRUCTIONS]
+
+
+class TestRunSweeps:
+    """A group sweep draws and permutes each run's indices once for every
+    plan's problem, and equals one lone `run_sweep` per plan."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("x0_preset", ["fig1", "worst-case"])
+    def test_equals_lone_sweeps(self, x0_preset, jobs):
+        plans = fig1_group(n=100, lam_max=50.0, k_values=(10, 25, 400), seeds=2,
+                           x0_preset=x0_preset)
+        assert 400 > 2 * (engine._CHUNK_ENTRIES // 100)  # several chunks and passes
+        dims = [experiments.resolve_problem(plan)[0].dim for plan in plans]
+        assert dims == ([2, 3] if x0_preset == "worst-case" else [2, 2])
+        lone = [run_sweep(plan, jobs=1) for plan in plans]
+        assert {r.scheme for r in lone[0][0]} == set(experiments.SCHEME_ORDER)
+        assert experiments.run_sweeps(plans, jobs=jobs) == lone
+
+    def test_only_a_group_takes_the_coupled_entry(self, monkeypatch):
+        calls = {"lone": 0, "coupled": 0}
+        lone, coupled = engine.run_sgd_closed_form, engine.run_sgd_closed_form_coupled
+
+        def count(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(engine, "run_sgd_closed_form", count("lone", lone))
+        monkeypatch.setattr(engine, "run_sgd_closed_form_coupled", count("coupled", coupled))
+        plans = fig1_group(seeds=2)
+        runs = 3 * len(plans[0].k_values) * plans[0].seeds
+        run_sweep(plans[0], jobs=1)
+        assert calls["lone"] == runs
+        before = calls["coupled"]
+        experiments.run_sweeps(plans, jobs=1)
+        assert (calls["lone"], calls["coupled"] - before) == (runs, runs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 10), ("k_values", (1, 2)), ("seeds", 3), ("x0_preset", "worst-case"),
+        ("eta_rule", 0.01), ("couple_rng", True), ("seed_base", 4)])
+    def test_plans_differing_beyond_construction_rejected(self, field, value, monkeypatch):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "_run_cell", no_cell)
+        ss, rr = fig1_group()
+        with pytest.raises(ValueError,
+                           match=f"^plans of one sweep group must agree on {field}, got "):
+            experiments.run_sweeps([ss, dataclasses.replace(rr, **{field: value})], jobs=1)
+
+    def test_no_plans_rejected(self):
+        with pytest.raises(ValueError, match="at least one plan"):
+            experiments.run_sweeps([], jobs=1)
+
+
 class TestSlopeFit:
     def test_exact_power_law(self):
         summaries = [
