@@ -447,7 +447,7 @@ def mc_expected_loss(p: Problem, scheme: "_engine.Scheme", eta: float, k: int, x
     if not is_integer(runs) or runs < 2:
         raise ValueError(f"runs must be an integer >= 2 for a standard error, got {runs!r}")
     seeds = _engine.derive_seeds(seed, np.arange(runs)[:, None])
-    losses = _engine.final_losses(p, scheme, eta, k, x0, seeds)
+    losses = _engine.final_losses([p], scheme, eta, k, [x0], seeds)[0]
     return float(np.mean(losses)), float(np.std(losses, ddof=1) / math.sqrt(runs))
 
 

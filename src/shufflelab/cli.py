@@ -345,7 +345,7 @@ def _cmd_reproduce_fig1(args, parser) -> int:
     if args.scale == "paper":
         print(
             "warning: paper scale runs 3 schemes x 12 k-values x 100 seeds on "
-            "n=500, about 23 s of CPU (about 12 s wall at --jobs 2 on a 2-vCPU Xeon)",
+            "n=500, about 20 s of CPU (about 10 s wall at --jobs 2 on a 2-vCPU Xeon)",
             file=sys.stderr,
         )
     for plan, (records, summaries) in zip(plans, experiments.run_sweeps(plans, jobs=args.jobs)):

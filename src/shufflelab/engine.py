@@ -15,19 +15,15 @@ element from the one PCG64 stream, so that call yields exactly the draws of
 c per-epoch calls and leaves the generator in the same state; chunks and
 Fisher-Yates passes change the number of calls, never the values drawn.
 
-`final_losses` runs a batch of runs through the same chunks.  Every run
-makes exactly the draws of its own stream, seeded with its own seed; the
-Fisher-Yates pass, the tail products and the map recurrence are shared
-across the batch.
-
-`run_sgd_closed_form_coupled` shares the index stream across problems: runs
-of one n with the same scheme, eta, epochs and seed make the same draws and
-the same permutations, whatever their problems, so `_chunked_iterates`
-reads the stream and runs Fisher-Yates once per pass, then maps the
-indices through each problem's own `[1 - eta*A | B]` table and recurrence
-(or single-shuffling closed form).  Each problem's trajectory is its
-`run_sgd_closed_form` one bit for bit; a lone problem is the one-problem
-case of the same loop.
+`final_losses` runs a batch of runs through the same chunks, one per
+problem and seed; each run makes exactly the draws of its own seed's stream.
+The problems share n, so a seed's run of each makes the same draws and the
+same permutations: `_chunked_iterates` reads the stream and runs Fisher-Yates
+once per pass for them all, then maps the indices through each problem's own
+`[1 - eta*A | B]` table and recurrence (or single-shuffling closed form).
+Across seeds, the Fisher-Yates pass, the tail products and the map
+recurrence are shared.  Each loss is its run's `run_sgd_closed_form` final
+loss bit for bit.
 
 Two loops are sequential: Fisher-Yates steps through a row's positions, and
 the map recurrence y <- contraction*y + noise through a run's epochs.  Each
@@ -854,67 +850,43 @@ def run_sgd_closed_form(p: Problem, cfg: RunConfig) -> Trajectory:
     """
     y0 = model._to_diag_frame(p, cfg.x0)
     _warn_if_large_eta(p, cfg.eta)
-    return _trajectory(p, cfg, [ys for _, (ys,) in _chunked_iterates(
-        [p], cfg.scheme, cfg.eta, cfg.epochs, [y0], [cfg.seed])])
-
-
-def _trajectory(p: Problem, cfg: RunConfig, chunks) -> Trajectory:
-    """A run's Trajectory from its chunks of diagonal-frame iterates."""
+    chunks = [ys for _, (ys,) in _chunked_iterates([p], cfg.scheme, cfg.eta, cfg.epochs, [y0],
+                                                   [cfg.seed])]
     ys = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     points = ys if p.conjugation is None else ys @ p.conjugation.T
     return Trajectory(points=points, losses=model.diagonal_objective(p, ys), config=cfg)
 
 
-# the RunConfig fields that coupled runs share, besides the problems' n
-_COUPLED_FIELDS = ("scheme", "eta", "epochs", "seed")
+def final_losses(problems, scheme: Scheme, eta: float, k: int, x0s, seeds) -> np.ndarray:
+    """F(x_k) of one run per problem and seed, batched: shape
+    (len(problems), len(seeds)).
 
-
-def run_sgd_closed_form_coupled(runs) -> List[Trajectory]:
-    """`run_sgd_closed_form(p, cfg)` of every (p, cfg) pair of `runs`, bit for
-    bit, from one index stream.
-
-    The pairs' problems share n and their configs agree on scheme, eta,
-    epochs and seed (x0 may differ, and the problems' dimensions), so every
-    run makes the same draws and the same permutations: `_chunked_iterates`
-    draws and permutes them once and maps them through each problem's own
-    table.  Rejects pairs that differ in n or one of those fields, naming it.
+    Entry (i, r) equals `run_sgd_closed_form(problems[i], RunConfig(scheme,
+    eta, k, x0s[i], seeds[r])).final_loss` bit for bit: each seed's runs make
+    its own stream's draws, drawn and permuted once for every problem, and the
+    runs of a chunk share the arithmetic of `_chunked_iterates`.  Rejects an
+    empty problem list, problems of unequal n, a start count other than the
+    problem count, and what `RunConfig` rejects: a scheme it cannot look up, a
+    negative or non-finite eta, k < 1 and seeds outside [0, 2**64).
     """
-    runs = list(runs)
-    if not runs:
-        raise ValueError("coupled runs need at least one (problem, config) pair")
-    p0, cfg = runs[0]
-    for p, other in runs[1:]:
-        for name, a, b in [("n", p0.n, p.n)] + [
-                (name, getattr(cfg, name), getattr(other, name)) for name in _COUPLED_FIELDS]:
-            if a != b:
-                raise ValueError(f"coupled runs must agree on {name}, got {a!r} and {b!r}")
-    y0s = [model._to_diag_frame(p, c.x0) for p, c in runs]
-    for p, _ in runs:
-        _warn_if_large_eta(p, cfg.eta)
-    chunks = [[] for _ in runs]
-    for _, ys in _chunked_iterates([p for p, _ in runs], cfg.scheme, cfg.eta, cfg.epochs, y0s,
-                                   [cfg.seed]):
-        for parts, part in zip(chunks, ys):
-            parts.append(part)
-    return [_trajectory(p, c, parts) for (p, c), parts in zip(runs, chunks)]
-
-
-def final_losses(p: Problem, scheme: Scheme, eta: float, k: int, x0, seeds) -> np.ndarray:
-    """F(x_k) of one run per seed, batched across runs.
-
-    Entry r equals `run_sgd_closed_form(p, RunConfig(scheme, eta, k, x0,
-    seeds[r])).final_loss` bit for bit: each run makes its own stream's
-    draws, and the runs of a chunk share the arithmetic of
-    `_chunked_iterates`.  Rejects what `RunConfig` rejects: a scheme it cannot
-    look up, a negative or non-finite eta, k < 1 and seeds outside [0, 2**64).
-    """
+    problems, x0s = list(problems), list(x0s)
+    if not problems:
+        raise ValueError("final_losses needs at least one problem")
+    if len(x0s) != len(problems):
+        raise ValueError(f"final_losses needs one x0 per problem, got {len(x0s)} x0s "
+                         f"for {len(problems)} problems")
+    for p in problems[1:]:
+        if p.n != problems[0].n:
+            raise ValueError(f"problems must share n, got {problems[0].n} and {p.n}")
     scheme = Scheme(scheme)
     seeds = list(seeds)
     _check_run(eta, k, seeds)
-    y0 = model._to_diag_frame(p, x0)
-    _warn_if_large_eta(p, eta)
-    last = np.empty((len(seeds), p.dim))
-    for first, (ys,) in _chunked_iterates([p], scheme, eta, k, [y0], seeds):
-        final = ys[-1].reshape(-1, p.dim)  # a run's final chunk is written last
-        last[first:first + len(final)] = final
-    return model.diagonal_objective(p, last)
+    y0s = [model._to_diag_frame(p, x0) for p, x0 in zip(problems, x0s)]
+    for p in problems:
+        _warn_if_large_eta(p, eta)
+    last = [np.empty((len(seeds), p.dim)) for p in problems]
+    for first, ys in _chunked_iterates(problems, scheme, eta, k, y0s, seeds):
+        for out, part in zip(last, ys):
+            final = part[-1].reshape(-1, out.shape[1])  # a run's final chunk is written last
+            out[first:first + len(final)] = final
+    return np.array([model.diagonal_objective(p, y) for p, y in zip(problems, last)])

@@ -207,18 +207,18 @@ def _run_cell(plans: Sequence[SweepPlan], scheme_tag: str, k: int) -> List[List[
     eta = plan.eta_for(k)
     key = _cell_key(plan, scheme_tag, k)
     seeds = engine.derive_seeds(plan.seed_base, [key + (s,) for s in range(plan.seeds)])
-    records = [[] for _ in plans]
-    for s, seed in enumerate(seeds):
-        runs = [(p, engine.RunConfig(scheme=scheme_tag, eta=eta, epochs=k, x0=x0, seed=seed))
-                for p, x0 in instances]
-        # a lone plan keeps one run_sgd_closed_form call per run, as perfbench counts them
-        trajs = ([engine.run_sgd_closed_form(*runs[0])] if len(runs) == 1
-                 else engine.run_sgd_closed_form_coupled(runs))
-        for out, traj in zip(records, trajs):
-            loss = traj.final_loss
-            out.append(SweepRecord(scheme=scheme_tag, k=k, seed=s, final_loss=loss,
-                                   log10_loss=_clamped_log10(loss)))
-    return records
+    if len(plans) == 1:
+        # a lone plan keeps one run_sgd_closed_form call per run only because
+        # perfbench's test_counters_repeat_exactly counts those calls
+        (p, x0), = instances
+        losses = [[engine.run_sgd_closed_form(p, engine.RunConfig(
+            scheme=scheme_tag, eta=eta, epochs=k, x0=x0, seed=seed)).final_loss for seed in seeds]]
+    else:
+        problems, x0s = zip(*instances)
+        losses = engine.final_losses(problems, scheme_tag, eta, k, x0s, seeds).tolist()
+    return [[SweepRecord(scheme=scheme_tag, k=k, seed=s, final_loss=loss,
+                         log10_loss=_clamped_log10(loss)) for s, loss in enumerate(row)]
+            for row in losses]
 
 
 def summarize(records: Sequence[SweepRecord]) -> List[SweepSummary]:
@@ -271,11 +271,12 @@ def run_sweeps(plans: Sequence[SweepPlan], jobs: Optional[int] = None
     assumption check, records and summaries.  Seeds derive from the seed
     base, scheme, k and seed index, never the construction, so a run of
     each plan makes the same draws: one cell per (scheme, k) runs the whole
-    group, each run's indices drawn and permuted once for every problem
-    (`engine.run_sgd_closed_form_coupled`).  Cells parallelize over
-    (scheme, k) and are submitted largest k first; aggregation reads results
-    back in (scheme, k, seed) order, so neither submission order nor worker
-    scheduling changes the output.
+    group in one `engine.final_losses` call, each run's indices drawn and
+    permuted once for every problem.  A lone plan's cell makes one
+    `engine.run_sgd_closed_form` call per run instead, with the same values.
+    Cells parallelize over (scheme, k) and are submitted largest k first;
+    aggregation reads results back in (scheme, k, seed) order, so neither
+    submission order nor worker scheduling changes the output.
     """
     plans = list(plans)
     check_jobs(jobs)
@@ -435,7 +436,12 @@ def emit_svg(summaries: Sequence[SweepSummary], path,
              bound_curves: Optional[Sequence[Tuple[str, Sequence[Tuple[int, float]]]]] = None,
              title: str = "") -> None:
     """Static plot: one polyline per scheme on log10(k) vs mean log10 loss,
-    error bars of one standard deviation, optional dashed rate overlays."""
+    error bars of one standard deviation, optional dashed rate overlays.
+
+    A (scheme, k) cell whose mean or standard deviation is not finite (a
+    divergent run) stays out of the plot and of its range, with one warning
+    naming the cells; the k axis keeps every k.  ValueError when no finite
+    cell remains."""
     width, height = 760, 500
     left, right, top, bottom = 72, 210, 46, 58
     inner_w, inner_h = width - left - right, height - top - bottom
@@ -443,6 +449,14 @@ def emit_svg(summaries: Sequence[SweepSummary], path,
     ks = sorted({s.k for s in summaries})
     if not ks:
         raise ValueError("no summaries to plot")
+    finite = [math.isfinite(s.mean_log10_loss) and math.isfinite(s.std_log10_loss)
+              for s in summaries]
+    if not any(finite):
+        raise ValueError("no finite summaries to plot")
+    if not all(finite):
+        left_out = ", ".join(f"({s.scheme}, {s.k})" for s, ok in zip(summaries, finite) if not ok)
+        engine.warn_caller(f"non-finite summaries left out of the plot: {left_out}")
+        summaries = [s for s, ok in zip(summaries, finite) if ok]
     xs_all = [math.log10(k) for k in ks]
     x_lo, x_hi = min(xs_all), max(xs_all)
     if x_hi == x_lo:

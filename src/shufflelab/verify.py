@@ -211,7 +211,7 @@ def _check_seeding() -> CheckResult:
     x0, eta = [1.0, 0.5, -0.5], engine.recommended_eta(n, k, 1.0)
     loss_misses = 0
     for scheme in engine.Scheme:
-        batched = engine.final_losses(p, scheme, eta, k, x0, seeds)
+        batched = engine.final_losses([p], scheme, eta, k, [x0], seeds)[0]
         per_run = [engine.run_sgd_closed_form(p, engine.RunConfig(scheme, eta, k, x0, s))
                    .final_loss for s in seeds]
         loss_misses += int(np.sum(batched != np.array(per_run)))

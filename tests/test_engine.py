@@ -66,7 +66,7 @@ class TestSchemeLookup:
         "run_sgd_closed_form": lambda s: engine.run_sgd_closed_form(
             two_point_problem(), RunConfig(s, 0.1, 3, [0.5], 7)).losses,
         "final_losses": lambda s: engine.final_losses(
-            two_point_problem(), s, 0.1, 3, [0.5], [7, 8, 9]),
+            [two_point_problem()], s, 0.1, 3, [[0.5]], [7, 8, 9]),
         "mc_expected_loss": lambda s: analysis.mc_expected_loss(
             two_point_problem(), s, 0.1, 3, [0.5], runs=4, seed=7),
     }
@@ -535,55 +535,61 @@ def coupled_problems(n: int):
 
 
 class TestCoupledRuns:
-    """One index stream mapped through several problems equals one
-    `run_sgd_closed_form` call per problem, bit for bit."""
+    """`final_losses` over several problems of one n: one index stream per
+    seed mapped through every problem equals each problem batched alone and
+    one `run_sgd_closed_form` call per run, bit for bit."""
+
+    # each k's seed blocks: one of >= _ARRAY_RUNS runs drawn as array
+    # expressions, a 16-run and a 4-run block of streams, and lone runs
+    # over several chunks and Fisher-Yates passes
+    BLOCKS = {1: [40], 10: [16, 4], 400: [1, 1]}
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("k", [1, 10, 400])
     def test_equals_lone_runs(self, scheme, k):
-        n = 100
-        if k == 400:  # several chunks, and several Fisher-Yates passes
+        n, blocks = 100, self.BLOCKS[k]
+        seeds = [2021 + r for r in range(sum(blocks))]
+        per_block = max(1, engine._CHUNK_ENTRIES // (k * n))
+        assert [min(per_block, len(seeds) - first)
+                for first in range(0, len(seeds), per_block)] == blocks
+        assert (min(blocks) >= engine._ARRAY_RUNS) == (k == 1)
+        if k == 400:
             assert k > 2 * (engine._CHUNK_ENTRIES // n)
-        pairs = coupled_problems(n)
-        runs = [(p, RunConfig(scheme, recommended_eta(n, k, 1.0), k, x0, 2021))
-                for p, x0 in pairs]
-        coupled = engine.run_sgd_closed_form_coupled(runs)
-        assert len(coupled) == len(runs)
-        for (p, cfg), traj in zip(runs, coupled):
-            lone = run_sgd_closed_form(p, cfg)
-            assert traj.config is cfg
-            np.testing.assert_array_equal(traj.points, lone.points)
-            np.testing.assert_array_equal(traj.losses, lone.losses)
+        problems, x0s = zip(*coupled_problems(n))
+        eta = recommended_eta(n, k, 1.0)
+        got = engine.final_losses(problems, scheme, eta, k, x0s, seeds)
+        assert got.shape == (len(problems), len(seeds))
+        for p, x0, row in zip(problems, x0s, got):
+            assert np.array_equal(row, engine.final_losses([p], scheme, eta, k, [x0], seeds)[0])
+            lone = [run_sgd_closed_form(p, RunConfig(scheme, eta, k, x0, s)) for s in seeds]
+            assert np.array_equal(row, [traj.final_loss for traj in lone])
             if scheme is not Scheme.SINGLE_SHUFFLE:
-                np.testing.assert_array_equal(traj.points, per_epoch_closed_form(p, cfg)[0])
+                np.testing.assert_array_equal(lone[0].points,
+                                              per_epoch_closed_form(p, lone[0].config)[0])
 
     def test_order_of_the_problems_changes_nothing(self):
-        runs = [(p, RunConfig(Scheme.RANDOM_RESHUFFLE, 0.01, 30, x0, 5))
-                for p, x0 in coupled_problems(20)]
-        forward = engine.run_sgd_closed_form_coupled(runs)
-        backward = engine.run_sgd_closed_form_coupled(runs[::-1])[::-1]
-        for a, b in zip(forward, backward):
-            np.testing.assert_array_equal(a.points, b.points)
+        problems, x0s = zip(*coupled_problems(20))
+        args = Scheme.RANDOM_RESHUFFLE, 0.01, 30
+        forward = engine.final_losses(problems, *args, x0s, [5, 6, 7])
+        backward = engine.final_losses(problems[::-1], *args, x0s[::-1], [5, 6, 7])[::-1]
+        np.testing.assert_array_equal(forward, backward)
 
     def test_unequal_n_rejected(self):
-        runs = [(p, RunConfig(Scheme.RANDOM_RESHUFFLE, 0.01, 3, x0, 5))
-                for p, x0 in (coupled_problems(10)[0], coupled_problems(12)[1])]
-        with pytest.raises(ValueError, match="^coupled runs must agree on n, got 10 and 12$"):
-            engine.run_sgd_closed_form_coupled(runs)
+        (p, x0), (q, y0) = coupled_problems(10)[0], coupled_problems(12)[1]
+        with pytest.raises(ValueError, match="^problems must share n, got 10 and 12$"):
+            engine.final_losses([p, q], Scheme.RANDOM_RESHUFFLE, 0.01, 3, [x0, y0], [5])
 
-    @pytest.mark.parametrize("field, value", [
-        ("scheme", Scheme.SINGLE_SHUFFLE), ("eta", 0.02), ("epochs", 4), ("seed", 6)])
-    def test_mismatched_configs_rejected(self, field, value):
+    @pytest.mark.parametrize("starts", [1, 3])
+    def test_one_x0_per_problem(self, starts):
         (p, x0), (q, y0) = coupled_problems(10)[:2]
-        cfg = RunConfig(Scheme.RANDOM_RESHUFFLE, 0.01, 3, x0, 5)
-        other = dataclasses.replace(RunConfig(Scheme.RANDOM_RESHUFFLE, 0.01, 3, y0, 5),
-                                    **{field: value})
-        with pytest.raises(ValueError, match=f"^coupled runs must agree on {field}, got "):
-            engine.run_sgd_closed_form_coupled([(p, cfg), (q, other)])
+        x0s = [x0, y0, y0][:starts]
+        with pytest.raises(ValueError, match=f"^final_losses needs one x0 per problem, "
+                                             f"got {starts} x0s for 2 problems$"):
+            engine.final_losses([p, q], Scheme.RANDOM_RESHUFFLE, 0.01, 3, x0s, [5])
 
     def test_no_runs_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            engine.run_sgd_closed_form_coupled([])
+        with pytest.raises(ValueError, match="^final_losses needs at least one problem$"):
+            engine.final_losses([], Scheme.RANDOM_RESHUFFLE, 0.01, 3, [], [5])
 
 
 class TestFinalLosses:
@@ -591,7 +597,7 @@ class TestFinalLosses:
 
     @staticmethod
     def assert_matches_per_run(p, scheme, eta, k, x0, seeds):
-        got = engine.final_losses(p, scheme, eta, k, x0, seeds)
+        got = engine.final_losses([p], scheme, eta, k, [x0], seeds)[0]
         want = [run_sgd_closed_form(p, RunConfig(scheme, eta, k, x0, s)).final_loss
                 for s in seeds]
         assert np.array_equal(got, want)
@@ -632,7 +638,7 @@ class TestFinalLosses:
         for seeds in ([5, 6], [5, 6, 7, 8]):
             with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
                 warnings.filterwarnings("ignore", "eta\\*L", RuntimeWarning)
-                got = engine.final_losses(p, scheme, 1.0, k, [1.0, 0.5, -0.5], seeds)
+                got = engine.final_losses([p], scheme, 1.0, k, [[1.0, 0.5, -0.5]], seeds)[0]
                 runs = [run_sgd_closed_form(p, RunConfig(scheme, 1.0, k, [1.0, 0.5, -0.5], s))
                         for s in seeds]
                 reference, _ = per_epoch_closed_form(p, runs[0].config)
@@ -683,7 +689,7 @@ class TestFinalLosses:
             x0 = [1.0, -0.5]
             want = [per_epoch_closed_form(p, RunConfig(scheme, eta, k, x0, s))[1][-1]
                     for s in seeds]
-            got = engine.final_losses(p, scheme, eta, k, x0, seeds)
+            got = engine.final_losses([p], scheme, eta, k, [x0], seeds)[0]
             if scheme is Scheme.SINGLE_SHUFFLE:  # the geometric closed form rounds apart
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
             else:
@@ -716,7 +722,7 @@ class TestFinalLosses:
     def test_bad_input_rejected_like_run_config(self, eta, k, seeds, message):
         p = two_point_problem()
         with pytest.raises(ValueError, match=message):
-            engine.final_losses(p, Scheme.RANDOM_RESHUFFLE, eta, k, [0.0], seeds)
+            engine.final_losses([p], Scheme.RANDOM_RESHUFFLE, eta, k, [[0.0]], seeds)
         with pytest.raises(ValueError, match=message):
             for s in seeds:
                 RunConfig(Scheme.RANDOM_RESHUFFLE, eta, k, [0.0], s)
@@ -727,7 +733,8 @@ def _rr_config(**fields):
 
 
 def _final_losses(k, seeds):
-    return engine.final_losses(two_point_problem(), Scheme.RANDOM_RESHUFFLE, 0.1, k, [0.0], seeds)
+    return engine.final_losses([two_point_problem()], Scheme.RANDOM_RESHUFFLE, 0.1, k, [[0.0]],
+                               seeds)[0]
 
 
 def _desk_plan(**fields):
@@ -804,8 +811,8 @@ class TestWarningLocation:
                                                   np.zeros(3), 1)),
         "run_sgd_closed_form": lambda p: run_sgd_closed_form(
             p, RunConfig(Scheme.RANDOM_RESHUFFLE, 0.5, 2, np.zeros(3), 1)),
-        "final_losses": lambda p: engine.final_losses(p, Scheme.SINGLE_SHUFFLE, 0.5, 2,
-                                                      np.zeros(3), [1, 2]),
+        "final_losses": lambda p: engine.final_losses([p], Scheme.SINGLE_SHUFFLE, 0.5, 2,
+                                                      [np.zeros(3)], [1, 2]),
         "mc_expected_loss": lambda p: analysis.mc_expected_loss(
             p, Scheme.RANDOM_RESHUFFLE, 0.5, 2, np.zeros(3), 2, seed=1),
         "expected_loss_rr_analytic": lambda p: analysis.expected_loss_rr_analytic(
@@ -951,8 +958,8 @@ class TestEpochMaps:
             assert len(seeds) * k * p.n <= engine._CHUNK_ENTRIES  # one block
             want = [model.objective(p, python_reference_run(p, scheme, eta, k, x0, s)[-1])
                     for s in seeds]
-            np.testing.assert_array_equal(engine.final_losses(p, scheme, eta, k, x0, seeds),
-                                          want)
+            np.testing.assert_array_equal(
+                engine.final_losses([p], scheme, eta, k, [x0], seeds)[0], want)
 
 
 class TestScratch:
@@ -971,13 +978,14 @@ class TestScratch:
             eta = recommended_eta(p.n, k, 1.0)
             want = [per_epoch_closed_form(p, RunConfig(scheme, eta, k, x0, s))[1][-1]
                     for s in seeds]
-            np.testing.assert_array_equal(engine.final_losses(p, scheme, eta, k, x0, seeds), want)
+            np.testing.assert_array_equal(
+                engine.final_losses([p], scheme, eta, k, [x0], seeds)[0], want)
 
     def test_results_keep_their_values(self):
         p, x0 = model.build_rr_construction(100, 1.0, 1.0, 8.0), [1.0, 0.5, -0.5]
         eta, rng = recommended_eta(100, 400, 1.0), np.random.default_rng(1)
         traj = run_sgd_closed_form(p, RunConfig(Scheme.RANDOM_RESHUFFLE, eta, 400, x0, 3))
-        losses = engine.final_losses(p, Scheme.RANDOM_RESHUFFLE, eta, 20, x0, range(30))
+        losses = engine.final_losses([p], Scheme.RANDOM_RESHUFFLE, eta, 20, [x0], range(30))
         perm = sample_permutation(100, rng)
         pq = engine.tail_products(rng.uniform(size=(4, 3, 50)), rng.normal(size=(4, 3, 50)))
         # a run of several Fisher-Yates passes of 128 epochs, and a block of streams
@@ -985,15 +993,15 @@ class TestScratch:
         wide = run_sgd_closed_form(paper, RunConfig(Scheme.RANDOM_RESHUFFLE,
                                                     recommended_eta(500, 300, 1.0), 300,
                                                     paper_x0, 122))
-        few = engine.final_losses(p, Scheme.WITH_REPLACEMENT, eta, 20, x0, range(5))
+        few = engine.final_losses([p], Scheme.WITH_REPLACEMENT, eta, 20, [x0], range(5))
         results = [traj.points, traj.losses, losses, perm, *pq, wide.points, wide.losses, few]
         copies = [r.copy() for r in results]
         # later calls of other shapes: paper-scale runs, Monte Carlo blocks
         for scheme in Scheme:
             run_sgd_closed_form(paper, RunConfig(scheme, recommended_eta(500, 100, 1.0), 100,
                                                  paper_x0, 5))
-            engine.final_losses(p, scheme, eta, 5, x0, range(100))
-            engine.final_losses(p, scheme, eta, 20, x0, range(40, 47))
+            engine.final_losses([p], scheme, eta, 5, [x0], range(100))
+            engine.final_losses([p], scheme, eta, 20, [x0], range(40, 47))
         run_sgd_closed_form(paper, RunConfig(Scheme.RANDOM_RESHUFFLE,
                                              recommended_eta(500, 260, 1.0), 260, paper_x0, 7))
         engine.tail_products(rng.uniform(size=(2, 7)), rng.normal(size=(2, 7)))

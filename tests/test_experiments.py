@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import re
+import warnings
+import xml.etree.ElementTree as ET
 from concurrent.futures import Future
 
 import numpy as np
@@ -215,8 +217,8 @@ class TestRunSweeps:
         assert experiments.run_sweeps(plans, jobs=jobs) == lone
 
     def test_only_a_group_takes_the_coupled_entry(self, monkeypatch):
-        calls = {"lone": 0, "coupled": 0}
-        lone, coupled = engine.run_sgd_closed_form, engine.run_sgd_closed_form_coupled
+        calls = {"lone": 0, "batched": 0}
+        lone, batched = engine.run_sgd_closed_form, engine.final_losses
 
         def count(name, fn):
             def counted(*args):
@@ -225,14 +227,14 @@ class TestRunSweeps:
             return counted
 
         monkeypatch.setattr(engine, "run_sgd_closed_form", count("lone", lone))
-        monkeypatch.setattr(engine, "run_sgd_closed_form_coupled", count("coupled", coupled))
+        monkeypatch.setattr(engine, "final_losses", count("batched", batched))
         plans = fig1_group(seeds=2)
-        runs = 3 * len(plans[0].k_values) * plans[0].seeds
+        cells = 3 * len(plans[0].k_values)
         run_sweep(plans[0], jobs=1)
-        assert calls["lone"] == runs
-        before = calls["coupled"]
+        assert calls == {"lone": cells * plans[0].seeds, "batched": 0}
+        calls.update(lone=0, batched=0)
         experiments.run_sweeps(plans, jobs=1)
-        assert (calls["lone"], calls["coupled"] - before) == (runs, runs)
+        assert calls == {"lone": 0, "batched": cells}
 
     @pytest.mark.parametrize("field, value", [
         ("n", 10), ("k_values", (1, 2)), ("seeds", 3), ("x0_preset", "worst-case"),
@@ -438,6 +440,31 @@ class TestSvg:
         emit_svg(summaries, a)
         emit_svg(summaries, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_divergent_cells_left_out(self, tmp_path):
+        # eta*L = 20: the k = 50 runs overflow, so their summaries are NaN
+        plan = SweepPlan(construction="rr", n=10, G=1.0, lam=1.0, lam_max=4.0,
+                         k_values=(5, 50), seeds=3, eta_rule=5.0)
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, summaries = run_sweep(plan, jobs=1)
+        assert [math.isfinite(s.mean_log10_loss) for s in summaries] == [True, False] * 3
+        path = tmp_path / "plot.svg"
+        with pytest.warns(RuntimeWarning) as record:
+            emit_svg(summaries, path)
+        assert [str(w.message) for w in record] == [
+            "non-finite summaries left out of the plot: (wr, 50), (ss, 50), (rr, 50)"]
+        text = path.read_text()
+        ET.fromstring(text)
+        assert not re.search("nan|inf", text)
+        assert text.count("<polyline") == 3
+
+    def test_no_finite_cell_rejected(self, tmp_path):
+        summaries = [SweepSummary("wr", 5, math.nan, math.nan, 3),
+                     SweepSummary("rr", 5, math.inf, math.nan, 3)]
+        with pytest.raises(ValueError, match="^no finite summaries to plot$"):
+            emit_svg(summaries, tmp_path / "plot.svg")
+        assert not (tmp_path / "plot.svg").exists()
 
 
 class TestParallelDeterminism:
