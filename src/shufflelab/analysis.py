@@ -6,14 +6,13 @@ component types.  Patterns are stored as {0,1} labels with exactly n/2 ones;
 the two sign conventions in use derive from one substrate: +-1 signs are
 2*label - 1, alternating-sum coefficients are 1 - 2*label.
 
-Two routes reach those arrangements.  The moment oracles
-(`permutation_moments` and the moment table, `expected_keyup_square`, the
+Two routes reach those arrangements.  The moment oracles (`beta_exact`,
+`permutation_moments` and the moment table, `expected_keyup_square`, the
 sum-prod and stochastic-terms oracles and both expected-loss oracles) scan
 them in O(n^2) steps over (position, type count) and take any even n.
-`beta_exact`, `perm_moment_enumeration` and `two_valued_tail_products`
-(which `calibrate` needs for E|Q|, not a moment) enumerate all C(n, n/2)
-of them, up to n = 16; they are the independent routes the scan is
-checked against.
+`perm_moment_enumeration` and `two_valued_tail_products` (which `calibrate`
+also needs for E|Q|, not a moment) enumerate all C(n, n/2) of them, up to
+n = 16; they are the independent references the scan is checked against.
 """
 
 from __future__ import annotations
@@ -30,15 +29,15 @@ import numpy as np
 from . import engine as _engine
 from .model import Problem, _to_diag_frame, check_even_n, is_integer
 
-# the largest n the enumerating routes take (C(16, 8) = 12870 arrangements);
-# the scanning moment oracles have no cap
+# the largest n the enumerating references take (C(16, 8) = 12870
+# arrangements); the scanning moment oracles have no cap
 ENUMERATION_CAP = 16
 
 
 class UnsupportedInstanceError(ValueError):
     """Exact method requested on data the exact routes cannot cover: more than
     two distinct (a, b) pairs, unbalanced counts, or n past the enumeration cap
-    on an enumerating route."""
+    on an enumerating reference."""
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -52,9 +51,9 @@ def _pattern_matrix(n: int) -> np.ndarray:
     if n > ENUMERATION_CAP:
         raise UnsupportedInstanceError(
             f"exhaustive enumeration is capped at n = {ENUMERATION_CAP}, got {n}; "
-            "beta_exact, perm_moment_enumeration and two_valued_tail_products "
-            "enumerate, while permutation_moments and the oracles built on it "
-            "scan any even n, and perm_moment_fraction is the closed form"
+            "only the references perm_moment_enumeration and two_valued_tail_products "
+            "enumerate; the moment oracles scan any even n, and perm_moment_fraction "
+            "is the closed form"
         )
     combos = np.array(list(itertools.combinations(range(n), n // 2)), dtype=np.int64)
     mat = np.zeros((combos.shape[0], n), dtype=np.int64)
@@ -67,15 +66,34 @@ def _pattern_matrix(n: int) -> np.ndarray:
 # beta and its envelope
 
 
+def _shape_data(shape: str, n: int, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The construction family's two balanced (alpha_i, beta_i) layouts.
+
+    "equal": every alpha_i = alpha, balanced +-1 betas (the 2-d construction's
+    steep coordinate).  "half-zero": alpha on one type and 0 on the other,
+    balanced +-1 betas (the 3-d construction's switching coordinate).
+    """
+    check_even_n(n)
+    half = n // 2
+    if shape == "equal":
+        alphas = np.full(n, alpha)
+    elif shape == "half-zero":
+        alphas = np.array([alpha] * half + [0.0] * half)
+    else:
+        raise ValueError(f"unknown shape {shape!r}")
+    betas = np.array([-1.0] * half + [1.0] * half)
+    return alphas, betas
+
+
 def beta_exact(n: int, eta: float, lam_max: float) -> float:
-    """E[(sum_i s_i (1 - lam_max*eta)^i)^2] over balanced +-1 sign rows, exact."""
+    """E[(sum_i s_i (1 - lam_max*eta)^i)^2] over balanced +-1 sign rows, exact,
+    at any even n: E[Q^2] of the "equal" layout, whose alphas are all
+    eta*lam_max (Q's weights run the other way, which exchangeability makes
+    the same)."""
     alpha = eta * lam_max
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"eta*lam_max must lie in [0, 1], got {alpha}")
-    signs = 2.0 * _pattern_matrix(n) - 1.0
-    weights = (1.0 - alpha) ** np.arange(n)
-    vals = signs @ weights
-    return float(np.mean(vals * vals))
+    return _moments_of(*_shape_data("equal", n, alpha), 1.0)[3]
 
 
 def beta_lower_envelope(n: int, eta: float, lam_max: float) -> float:
@@ -299,16 +317,9 @@ def stochastic_terms_ceiling(n: int, eta: float, lam_max: float) -> float:
     return -eta * lam_max * n / 16.0
 
 
-def _alternating_moments(n: int, eta: float, lam_max: float) -> Tuple[float, ...]:
-    """`_moments_of` the balanced data with coefficients 1-2s and factors
-    1-eta*lam_max*s."""
-    check_even_n(n)
-    half = n // 2
-    return _moments_of([0.0] * half + [lam_max] * half, [1.0] * half + [-1.0] * half, eta)
-
-
 def sum_prod_expectation_exact(n: int, eta: float, lam_max: float) -> float:
-    """E[sum_i (1-2s_i) prod_{j>i} (1 - eta*lam_max*s_j)], exact, at any even n.
+    """E[sum_i (1-2s_i) prod_{j>i} (1 - eta*lam_max*s_j)], exact, at any even n:
+    E[Q] of the "half-zero" layout at alpha = eta*lam_max.
 
     For eta <= 1/(lam_max n) the value is certified against the proven ceiling
     -eta*lam_max*n/8 (tripwire; the value is exact so it cannot fire).
@@ -318,14 +329,15 @@ def sum_prod_expectation_exact(n: int, eta: float, lam_max: float) -> float:
         raise ValueError("lam_max must be nonnegative")
     if eta * lam_max > 1:
         raise ValueError("need 0 <= eta*lam_max <= 1")
-    value = _alternating_moments(n, eta, lam_max)[2]
+    value = _moments_of(*_shape_data("half-zero", n, eta * lam_max), 1.0)[2]
     if lam_max > 0 and eta * lam_max * n <= 1.0 + 1e-12:
         assert value <= sum_prod_ceiling(n, eta, lam_max) + 1e-12
     return value
 
 
 def stochastic_terms_exact(n: int, eta: float, lam_max: float) -> float:
-    """E[prod_i (1 - eta*lam_max*s_i) * sum_i (1-2s_i) prod_{j>i} (...)], exact.
+    """E[prod_i (1 - eta*lam_max*s_i) * sum_i (1-2s_i) prod_{j>i} (...)], exact:
+    E[PQ] of the "half-zero" layout at alpha = eta*lam_max.
 
     Only claimed (and only accepted) for eta <= 1/(lam_max n), where it is
     certified against the ceiling -eta*lam_max*n/16.
@@ -337,7 +349,7 @@ def stochastic_terms_exact(n: int, eta: float, lam_max: float) -> float:
         raise ValueError(
             f"stochastic_terms_exact requires eta <= 1/(lam_max*n), got eta={eta}"
         )
-    value = _alternating_moments(n, eta, lam_max)[4]
+    value = _moments_of(*_shape_data("half-zero", n, eta * lam_max), 1.0)[4]
     assert value <= stochastic_terms_ceiling(n, eta, lam_max) + 1e-12
     return value
 
@@ -406,16 +418,18 @@ def _expected_moments(p: Problem, eta: float, k: int, x0,
         raise ValueError(f"k must be an integer >= 0, got {k!r}")
     y0 = _to_diag_frame(p, x0)
     _engine._warn_if_large_eta(p, eta)
-    m = _coordinate_moments(p, eta)
-    s = m.e_p
-    g = _engine._geometric_factor(s, k)
-    mean = s**k * y0 + eta * g * m.e_q
-    spread = g**2 if single else _engine._geometric_factor(s**2, k)
-    return mean, mean**2 + eta**2 * (m.e_q2 - m.e_q**2) * spread
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _coordinate_moments(p, eta)
+        s = m.e_p
+        g = _engine._geometric_factor(s, k)
+        mean = s**k * y0 + eta * g * m.e_q
+        spread = g**2 if single else _engine._geometric_factor(s**2, k)
+        return mean, mean**2 + eta**2 * (m.e_q2 - m.e_q**2) * spread
 
 
 def _loss_from_moments(p: Problem, mean: np.ndarray, second: np.ndarray) -> float:
-    return float(np.sum(0.5 * p.mean_curvature * second - p.mean_linear * mean))
+    with np.errstate(invalid="ignore"):  # 0 * inf: `_expected_moments` reports divergence
+        return float(np.sum(0.5 * p.mean_curvature * second - p.mean_linear * mean))
 
 
 def expected_loss_rr_analytic(p: Problem, eta: float, k: int, x0) -> float:
@@ -448,7 +462,8 @@ def mc_expected_loss(p: Problem, scheme: "_engine.Scheme", eta: float, k: int, x
         raise ValueError(f"runs must be an integer >= 2 for a standard error, got {runs!r}")
     seeds = _engine.derive_seeds(seed, np.arange(runs)[:, None])
     losses = _engine.final_losses([p], scheme, eta, k, [x0], seeds)[0]
-    return float(np.mean(losses)), float(np.std(losses, ddof=1) / math.sqrt(runs))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf losses: final_losses reports them
+        return float(np.mean(losses)), float(np.std(losses, ddof=1) / math.sqrt(runs))
 
 
 @dataclass(frozen=True)

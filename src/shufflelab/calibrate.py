@@ -1,9 +1,11 @@
 """Envelope shapes with calibrated stand-in constants.
 
 The envelope inequalities used here hold up to unspecified universal
-constants.  This module measures stand-in constants empirically by exhaustive
-enumeration sweeps and stores the extremes in a calibration file; the values
-are always labeled as measured, never claimed to be the universal ones.
+constants.  This module measures stand-in constants empirically by exact
+sweeps over a grid of small n (beta by the scan, E|Q| and E[Q^2] over every
+arrangement of `analysis._shape_data`'s two layouts) and stores the extremes
+in a calibration file; the values are always labeled as measured, never
+claimed to be the universal ones.
 """
 
 from __future__ import annotations
@@ -57,26 +59,8 @@ def rv_sq_envelope(n: int, alpha_bar: float) -> float:
     return math.log(8.0 * n**2 * alpha_bar**2) ** 2 / alpha_bar
 
 
-def _shape_data(shape: str, n: int, alpha: float):
-    """Two enumerable (alpha_i, beta_i) layouts from the construction family.
-
-    "equal": every alpha_i = alpha, balanced +-1 betas (the 2-d construction's
-    steep coordinate).  "half-zero": alpha on one type and 0 on the other,
-    balanced +-1 betas (the 3-d construction's switching coordinate).
-    """
-    half = n // 2
-    if shape == "equal":
-        alphas = np.full(n, alpha)
-    elif shape == "half-zero":
-        alphas = np.array([alpha] * half + [0.0] * half)
-    else:
-        raise ValueError(f"unknown shape {shape!r}")
-    betas = np.array([-1.0] * half + [1.0] * half)
-    return alphas, betas
-
-
 def measure_constants() -> Dict[str, dict]:
-    """Sweep the enumeration grid and record every envelope ratio extreme."""
+    """Sweep the calibration grid and record every envelope ratio extreme."""
     beta_lo, beta_hi = math.inf, -math.inf
     keyup_hi = -math.inf
     c1_hi = c2_hi = c3_hi = -math.inf
@@ -88,7 +72,7 @@ def measure_constants() -> Dict[str, dict]:
             beta_lo = min(beta_lo, ratio)
             beta_hi = max(beta_hi, ratio)
             for shape in ("equal", "half-zero"):
-                alphas, betas = _shape_data(shape, n, alpha)
+                alphas, betas = analysis._shape_data(shape, n, alpha)
                 abar = float(np.mean(alphas))
                 q = analysis.two_valued_tail_products(alphas, betas, 1.0)
                 e_abs, e_sq = float(np.mean(np.abs(q))), float(np.mean(q * q))

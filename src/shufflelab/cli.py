@@ -27,11 +27,10 @@ def _int_list(text: str) -> List[int]:
     return [int(v) for v in text.split(",") if v != ""]
 
 
-def _add_problem_flags(sub, include_scheme: bool = True,
-                       n_help: str = "number of components (even)"):
+def _add_problem_flags(sub, include_scheme: bool = True):
     sub.add_argument("--construction", choices=model.CONSTRUCTIONS, default="ss",
                      help="which lower-bound construction to instantiate")
-    sub.add_argument("--n", type=int, default=100, help=n_help)
+    sub.add_argument("--n", type=int, default=100, help="number of components (even)")
     sub.add_argument("--G", type=float, default=1.0, help="gradient-norm scale G")
     sub.add_argument("--lambda", dest="lam", type=float, default=1.0,
                      help="strong-convexity parameter")
@@ -105,10 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.register("action", "store_true",
                  functools.partial(_NoteGiven, nargs=0, const=True, default=False))
     orc.add_argument("--quantity", required=True, choices=tuple(_ORACLE_READS))
-    _add_problem_flags(orc, include_scheme=False, n_help=(
-        "number of components (even); beta enumerates all C(n, n/2) arrangements, "
-        f"so n <= {analysis.ENUMERATION_CAP} there, and the other quantities take any "
-        "even n"))  # then the oracle's own defaults replace theirs
+    _add_problem_flags(orc, include_scheme=False)  # then the oracle's own defaults replace theirs
     orc.set_defaults(run=_cmd_oracle, given={}, construction=None, n=4, lam_max=4.0,
                      x0_preset="worst-case")
     orc.add_argument("--eta-lmax", type=float, default=0.5,
@@ -197,9 +193,6 @@ def _cmd_oracle(args, parser) -> int:
             model.check_even_n(args.n)
         except ValueError as exc:
             parser.error(f"--n: {exc}")
-    if q == "beta" and args.n > analysis.ENUMERATION_CAP:
-        parser.error(f"--n must be even and within [2, {analysis.ENUMERATION_CAP}] "
-                     f"for enumeration oracles, got {args.n}")
     if q == "perm-moment" and not 1 <= args.m <= args.n - 1:  # closed form: no enumeration cap
         parser.error(f"--m must lie in 1..n-1, got {args.m}")
     if q == "beta":

@@ -566,14 +566,20 @@ def sample_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def warn_caller(message: str) -> None:
     """A RuntimeWarning at the first frame outside the package, as Python
-    3.12's `skip_file_prefixes` would place it."""
+    3.12's `skip_file_prefixes` would place it, or at the package's entry
+    frame when that first frame is frozen start-up code (`python -m`)."""
     frame, level = sys._getframe(1), 2
     while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
         frame, level = frame.f_back, level + 1
+    if frame is not None and frame.f_code.co_filename.startswith("<frozen "):
+        level -= 1  # `python -m shufflelab`: name the package's entry frame, not runpy's
     warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
 def _warn_if_large_eta(p: Problem, eta: float):
+    """The one report of a divergent step size: its callers compute under
+    `np.errstate(over="ignore", invalid="ignore")`, so the inf and nan
+    iterates that follow raise no numpy warning of their own."""
     if eta * p.smooth_l > 1.0 + 1e-12:
         warn_caller(f"eta*L = {eta * p.smooth_l:.4g} > 1: contraction factors leave [0, 1]")
 
@@ -592,15 +598,16 @@ def run_sgd(p: Problem, cfg: RunConfig) -> Trajectory:
     x = cfg.x0.copy()
     points = np.empty((cfg.epochs, p.dim))
     losses = np.empty(cfg.epochs)
-    for t in range(cfg.epochs):
-        if cfg.scheme is Scheme.WITH_REPLACEMENT:
-            seq = rng.integers(0, p.n, size=p.n)
-        else:
-            seq = sample_permutation(p.n, rng) if fixed_perm is None else fixed_perm
-        for i in seq:
-            x = x - cfg.eta * model.component_gradient(p, int(i), x)
-        points[t] = x
-        losses[t] = objective(p, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(cfg.epochs):
+            if cfg.scheme is Scheme.WITH_REPLACEMENT:
+                seq = rng.integers(0, p.n, size=p.n)
+            else:
+                seq = sample_permutation(p.n, rng) if fixed_perm is None else fixed_perm
+            for i in seq:
+                x = x - cfg.eta * model.component_gradient(p, int(i), x)
+            points[t] = x
+            losses[t] = objective(p, x)
     return Trajectory(points=points, losses=losses, config=cfg)
 
 
@@ -678,8 +685,8 @@ def _apply_maps(contraction: np.ndarray, noise: np.ndarray, y0: np.ndarray) -> n
     Fewer than `_SCALAR_WIDTH` lanes run one after another in Python floats,
     epochs innermost; more take one numpy step per epoch.  Both round the
     multiply, then the add, with no fused multiply-add, so the values are
-    the same bit for bit.  Python floats raise no overflow RuntimeWarning,
-    but give the same inf and nan.
+    the same bit for bit, inf and nan included; the engine's entries compute
+    under `np.errstate`, so numpy's side warns no more than Python floats.
     """
     lanes = contraction[0].size
     if lanes < _SCALAR_WIDTH:
@@ -850,11 +857,13 @@ def run_sgd_closed_form(p: Problem, cfg: RunConfig) -> Trajectory:
     """
     y0 = model._to_diag_frame(p, cfg.x0)
     _warn_if_large_eta(p, cfg.eta)
-    chunks = [ys for _, (ys,) in _chunked_iterates([p], cfg.scheme, cfg.eta, cfg.epochs, [y0],
-                                                   [cfg.seed])]
-    ys = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    points = ys if p.conjugation is None else ys @ p.conjugation.T
-    return Trajectory(points=points, losses=model.diagonal_objective(p, ys), config=cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        chunks = [ys for _, (ys,) in _chunked_iterates([p], cfg.scheme, cfg.eta, cfg.epochs,
+                                                       [y0], [cfg.seed])]
+        ys = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        points = ys if p.conjugation is None else ys @ p.conjugation.T
+        losses = model.diagonal_objective(p, ys)
+    return Trajectory(points=points, losses=losses, config=cfg)
 
 
 def final_losses(problems, scheme: Scheme, eta: float, k: int, x0s, seeds) -> np.ndarray:
@@ -885,8 +894,9 @@ def final_losses(problems, scheme: Scheme, eta: float, k: int, x0s, seeds) -> np
     for p in problems:
         _warn_if_large_eta(p, eta)
     last = [np.empty((len(seeds), p.dim)) for p in problems]
-    for first, ys in _chunked_iterates(problems, scheme, eta, k, y0s, seeds):
-        for out, part in zip(last, ys):
-            final = part[-1].reshape(-1, out.shape[1])  # a run's final chunk is written last
-            out[first:first + len(final)] = final
-    return np.array([model.diagonal_objective(p, y) for p, y in zip(problems, last)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first, ys in _chunked_iterates(problems, scheme, eta, k, y0s, seeds):
+            for out, part in zip(last, ys):
+                final = part[-1].reshape(-1, out.shape[1])  # a run's final chunk is written last
+                out[first:first + len(final)] = final
+        return np.array([model.diagonal_objective(p, y) for p, y in zip(problems, last)])

@@ -102,22 +102,18 @@ def _check_keyup_telescoping() -> CheckResult:
 
 
 def _check_keyup_matches_enumeration() -> CheckResult:
-    """The scan behind `expected_keyup_square` against enumeration, on both
-    constructions' column shapes: `beta_exact` for equal alphas, the mean
-    square of `two_valued_tail_products` for half-zero alphas."""
+    """The scan behind `expected_keyup_square` against the mean square of
+    `two_valued_tail_products`, on both constructions' column shapes."""
     worst = 0.0
     for n in (4, 16):
         for alpha in (0.01, 0.1, 0.5):
             for shape in ("equal", "half-zero"):
-                alphas, betas = calibrate._shape_data(shape, n, alpha)
+                alphas, betas = analysis._shape_data(shape, n, alpha)
                 e_sq = analysis.expected_keyup_square(alphas, betas)
-                if shape == "equal":
-                    ref = analysis.beta_exact(n, alpha, 1.0)
-                else:
-                    ref = float(np.mean(analysis.two_valued_tail_products(alphas, betas, 1.0) ** 2))
+                ref = float(np.mean(analysis.two_valued_tail_products(alphas, betas, 1.0) ** 2))
                 worst = max(worst, abs(e_sq - ref) / ref)
     return _result(
-        "E[keyup^2] by the scan == enumeration (beta for equal alphas), n=4 and 16",
+        "E[keyup^2] by the scan == enumeration (equal and half-zero alphas), n=4 and 16",
         worst <= 1e-12,
         f"worst relative gap={worst:.3g}",
     )

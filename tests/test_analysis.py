@@ -59,7 +59,7 @@ class TestPatterns:
                 oracle(10.0)
 
     @pytest.mark.parametrize("oracle, enumerates", [
-        (lambda n: beta_exact(n, 0.01, 1.0), True),
+        (lambda n: beta_exact(n, 0.01, 1.0), False),
         (lambda n: sum_prod_expectation_exact(n, 0.01, 1.0), False),
         (lambda n: stochastic_terms_exact(n, 0.01, 1.0), False),
         (lambda n: expected_keyup_square(np.full(n, 0.1), [1.0, -1.0] * (n // 2)), False),
@@ -86,9 +86,28 @@ class TestPatterns:
         assert total == 1
 
 
+def enumerated_beta(n: int, alpha: float) -> float:
+    """beta by averaging over every balanced +-1 sign row, independent of the scan."""
+    signs = 2.0 * analysis._pattern_matrix(n) - 1.0
+    vals = signs @ (1.0 - alpha) ** np.arange(n)
+    return float(np.mean(vals * vals))
+
+
 class TestBeta:
     def test_hand_example(self):
         assert beta_exact(2, 0.5, 1.0) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("n", [4, 16, 18, 100])
+    def test_matches_exact_rational(self, n):
+        # balanced signs have E[s_i^2] = 1 and E[s_i s_j] = -1/(n-1), so
+        # beta = (n sum w^2 - (sum w)^2)/(n-1); w is built from the factor
+        # 1 - alpha as the float the oracle multiplies by, because at small
+        # alpha beta cancels heavily and half an ulp in it moves beta ~1e-13
+        for alpha in (1e-4, 1e-3, 0.01, 0.1, 0.5, 0.9, 1.0):
+            w = [Fraction(1.0 - alpha) ** i for i in range(n)]
+            exact = (n * sum(x * x for x in w) - sum(w) ** 2) / (n - 1)
+            got = beta_exact(n, alpha, 1.0)
+            assert abs(Fraction(got) - exact) <= Fraction(1e-14) * exact, (n, alpha)
 
     def test_zero_alpha_balanced_signs_cancel(self):
         for n in (2, 4, 8):
@@ -199,9 +218,10 @@ class TestKeyup:
         for n, alpha in ((4, 0.2), (8, 0.6)):
             alphas = np.full(n, alpha)
             betas = np.concatenate([np.ones(n // 2), -np.ones(n // 2)])
-            assert expected_keyup_square(alphas, betas) == pytest.approx(
-                beta_exact(n, alpha, 1.0), rel=1e-12
-            )
+            # both read the scan, so the reference enumerates every arrangement
+            ref = float(np.mean(analysis.two_valued_tail_products(alphas, betas, 1.0) ** 2))
+            assert expected_keyup_square(alphas, betas) == pytest.approx(ref, rel=1e-12)
+            assert beta_exact(n, alpha, 1.0) == pytest.approx(ref, rel=1e-12)
 
     def test_expected_square_needs_two_valued_data(self):
         with pytest.raises(UnsupportedInstanceError):
@@ -552,13 +572,13 @@ class TestExpectedLossRR:
 
 def expected_loss_ss_formula(n: int, k: int, eta: float, G: float, lam: float,
                              lam_max: float, x0) -> float:
-    """E[F(x_k)] of the 2-d construction under single shuffling, driven by the
-    enumerating `beta_exact`: decay of both coordinates plus the beta variance
+    """E[F(x_k)] of the 2-d construction under single shuffling, driven by
+    `enumerated_beta`: decay of both coordinates plus the beta variance
     term."""
     x0 = np.asarray(x0, dtype=np.float64)
     s_epoch = (1.0 - eta * lam_max) ** n
     ratio = float(engine._geometric_factor(s_epoch, k))
-    beta = beta_exact(n, eta, lam_max)
+    beta = enumerated_beta(n, eta * lam_max)
     return float(
         0.5 * lam * (1.0 - eta * lam) ** (2 * n * k) * x0[0] ** 2
         + 0.5 * lam_max * (1.0 - eta * lam_max) ** (2 * n * k) * x0[1] ** 2

@@ -2,9 +2,13 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import shufflelab
 from shufflelab import analysis, bounds, calibrate, cli, experiments, model, verify
 
 
@@ -63,6 +67,17 @@ class TestHelp:
 
 
 class TestSimulate:
+    def test_module_entry_warning_names_the_entry_frame(self):
+        # under `python -m`, the first frame outside the package is runpy's
+        # frozen start-up code, so the warning names the package's __main__
+        src = os.path.dirname(os.path.dirname(shufflelab.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+        done = subprocess.run([sys.executable, "-m", "shufflelab", "simulate", "--construction",
+                               "ss", "--n", "10", "--k", "3", "--eta", "1", "--lambda-max", "4"],
+                              env=env, capture_output=True, text=True, check=True)
+        assert "__main__.py:4: RuntimeWarning: eta*L = 4 > 1" in done.stderr
+        assert "<frozen" not in done.stderr
+
     def test_eta_zero_prints_f_x0(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--construction", "ss", "--n", "4", "--eta", "0",
@@ -172,12 +187,6 @@ class TestOracle:
         assert exc.value.code == 2
         assert "not allowed with" in capsys.readouterr().err
 
-    def test_unsupported_n_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["oracle", "--quantity", "beta", "--n", "18"])
-        assert exc.value.code == 2
-        assert "even" in capsys.readouterr().err
-
     @pytest.mark.parametrize("quantity, flags, unread", [
         ("beta", ["--n", "4", "--eta", "0.3", "--k", "99", "--samples", "5", "--seed", "3",
                   "--G", "7"], "--eta, --k, --samples, --seed, --G"),
@@ -199,6 +208,7 @@ class TestOracle:
         assert out == "" and err.endswith(f" does not read {unread}\n")
 
     @pytest.mark.parametrize("quantity, flags, label", [
+        ("beta", ["--n", "100"], "beta"),
         ("sum-prod", ["--n", "100", "--eta-lmax", "0.005"], "sum-prod expectation"),
         ("stochastic-terms", ["--n", "100", "--eta-lmax", "0.005"],
          "stochastic-terms expectation"),
@@ -211,14 +221,15 @@ class TestOracle:
         values = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
         assert code == 0 and math.isfinite(float(values[label]))
 
-    def test_n_help_names_the_enumerating_quantity(self, capsys):
+    def test_n_help_is_the_shared_one(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["oracle", "--help"])
-        assert "beta enumerates all C(n, n/2)" in " ".join(capsys.readouterr().out.split())
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--n N number of components (even) --G" in help_text
+        assert "enumerat" not in help_text
 
     @pytest.mark.parametrize("quantity, n, message", [
         ("beta", "7", "--n: n must be even and an integer >= 2, got 7"),
-        ("beta", "18", "--n must be even and within [2, 16] for enumeration oracles, got 18"),
         ("perm-moment", "7", "--n: n must be even and an integer >= 2, got 7"),
     ])
     def test_bad_n_is_a_usage_error(self, capsys, quantity, n, message):

@@ -636,11 +636,12 @@ class TestFinalLosses:
         n, k = 10, 300
         p = model.build_rr_construction(n, 1.0, 1.0, 4.0)
         for seeds in ([5, 6], [5, 6, 7, 8]):
-            with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            with warnings.catch_warnings():  # the eta*L warning is the engine's only one
                 warnings.filterwarnings("ignore", "eta\\*L", RuntimeWarning)
                 got = engine.final_losses([p], scheme, 1.0, k, [[1.0, 0.5, -0.5]], seeds)[0]
                 runs = [run_sgd_closed_form(p, RunConfig(scheme, 1.0, k, [1.0, 0.5, -0.5], s))
                         for s in seeds]
+            with np.errstate(over="ignore", invalid="ignore"):  # the test-local reference's
                 reference, _ = per_epoch_closed_form(p, runs[0].config)
             assert np.array_equal(got, [r.final_loss for r in runs], equal_nan=True)
             assert not np.isfinite(got).any()
@@ -823,6 +824,24 @@ class TestWarningLocation:
         "run_sweep": lambda p: experiments.run_sweep(experiments.SweepPlan(
             construction="ss", n=8, G=1.0, lam=1.0, lam_max=4.0, k_values=(1,), seeds=1),
             jobs=1),
+        # eta = 1 (eta*L = 4) over k = 300 epochs from a non-zero start: the
+        # iterates overflow to inf and nan, which the eta*L warning reports
+        "run_sgd-divergent": lambda p: run_sgd(
+            p, RunConfig(Scheme.RANDOM_RESHUFFLE, 1.0, 300, [1.0, 0.5, 0.5], 1)),
+        "run_sgd_closed_form-divergent": lambda p: run_sgd_closed_form(
+            p, RunConfig(Scheme.SINGLE_SHUFFLE, 1.0, 300, [1.0, 0.5, 0.5], 1)),
+        **{f"final_losses-divergent-{scheme.value}-{len(seeds)}-seeds":
+           lambda p, scheme=scheme, seeds=seeds: engine.final_losses(
+               [p], scheme, 1.0, 300, [[1.0, 0.5, 0.5]], seeds)
+           for scheme in Scheme for seeds in ([1], [1, 2, 3, 4])},
+        # at k = 50 the losses are inf rather than nan, so their mean and
+        # standard error overflow too
+        "mc_expected_loss-divergent": lambda p: analysis.mc_expected_loss(
+            p, Scheme.RANDOM_RESHUFFLE, 1.0, 50, [1.0, 0.5, 0.5], 4, seed=1),
+        "expected_loss_rr_analytic-divergent": lambda p: analysis.expected_loss_rr_analytic(
+            p, 1.0, 300, [1.0, 0.5, 0.5]),
+        "expected_loss_ss_exact-divergent": lambda p: analysis.expected_loss_ss_exact(
+            p, 1.0, 300, [1.0, 0.5, 0.5]),
     }
 
     @pytest.mark.parametrize("name", list(CALLS))
