@@ -417,8 +417,7 @@ def _expected_moments(p: Problem, eta: float, k: int, x0,
     if not is_integer(k) or k < 0:
         raise ValueError(f"k must be an integer >= 0, got {k!r}")
     y0 = _to_diag_frame(p, x0)
-    _engine._warn_if_large_eta(p, eta)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _engine._divergence_guard([p], eta):
         m = _coordinate_moments(p, eta)
         s = m.e_p
         g = _engine._geometric_factor(s, k)

@@ -8,7 +8,6 @@ no environment variables are consulted.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -43,24 +42,20 @@ def _add_problem_flags(sub, include_scheme: bool = True):
                          help="sampling scheme")
 
 
-def _add_eta_flags(sub):
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--eta", type=float, default=None, help="fixed step size")
-    group.add_argument("--auto-eta", action="store_true",
-                       help="use the rule log(nk)/(lambda n k)")
+def _add_eta_flag(sub):
+    sub.add_argument("--eta", type=float, default=None,
+                     help="fixed step size (default: the rule log(nk)/(lambda n k))")
 
 
-def _resolve_eta(args, parser, n: int, k: int, lam: float) -> float:
-    if args.auto_eta:
-        return engine.recommended_eta(n, k, lam)
-    if args.eta is None:
-        parser.error("one of --eta or --auto-eta is required")
-    return args.eta
+def _resolve_eta(args) -> float:
+    return engine.recommended_eta(args.n, args.k, args.lam) if args.eta is None else args.eta
 
 
 class _NoteGiven(argparse.Action):
     """argparse's `store` (`store_true` with nargs=0) that also records each
-    flag given on the command line in `args.given`, as {dest: flag}."""
+    flag given on the command line in `args.given`, as {dest: flag}.  A
+    parser that registers it as its default action notes each flag it
+    declares after that."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
@@ -69,7 +64,7 @@ class _NoteGiven(argparse.Action):
 
 # the flags each oracle quantity reads besides --quantity, --method and --out;
 # the Monte Carlo method also reads --samples and --seed
-_LOSS_READS = ("construction", "n", "G", "lam", "lam_max", "x0_preset", "k", "eta", "auto_eta")
+_LOSS_READS = ("construction", "n", "G", "lam", "lam_max", "x0_preset", "k", "eta")
 _ORACLE_READS = {
     "beta": ("n", "eta_lmax"),
     "perm-moment": ("n", "m"),
@@ -92,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = subs.add_parser("simulate", help="run one SGD trajectory and print the final loss")
     sim.set_defaults(run=_cmd_simulate)
     _add_problem_flags(sim)
-    _add_eta_flags(sim)
+    _add_eta_flag(sim)
     sim.add_argument("--k", type=int, default=10, help="number of epochs")
     sim.add_argument("--seed", type=int, default=0, help="run seed")
     sim.add_argument("--out", type=str, default=None, help="trajectory CSV path")
@@ -101,8 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     orc = subs.add_parser("oracle", help="evaluate an exact/Monte-Carlo expectation oracle")
     orc.register("action", None, _NoteGiven)  # argparse's default action, `store`
-    orc.register("action", "store_true",
-                 functools.partial(_NoteGiven, nargs=0, const=True, default=False))
     orc.add_argument("--quantity", required=True, choices=tuple(_ORACLE_READS))
     _add_problem_flags(orc, include_scheme=False)  # then the oracle's own defaults replace theirs
     orc.set_defaults(run=_cmd_oracle, given={}, construction=None, n=4, lam_max=4.0,
@@ -114,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--betas", type=_float_list, default=None)
     orc.add_argument("--perm", type=_int_list, default=None, help="0-based permutation")
     orc.add_argument("--k", type=int, default=5)
-    _add_eta_flags(orc)
+    _add_eta_flag(orc)
     orc.add_argument("--method", choices=("exact", "monte-carlo"), default="exact")
     orc.add_argument("--samples", type=int, default=100000)
     orc.add_argument("--seed", type=int, default=0)
@@ -141,15 +134,16 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="calibration file (defaults to the packaged one)")
 
     swp = subs.add_parser("sweep", help="run a sweep plan and emit CSV/SVG artifacts")
-    swp.set_defaults(run=_cmd_sweep)
-    swp.add_argument("--plan", type=str, default=None, help="JSON plan file")
+    swp.set_defaults(run=_cmd_sweep, given={})
+    swp.register("action", None, _NoteGiven)
+    swp.add_argument("--plan", type=str, default=None,
+                     help="JSON plan file, in place of the plan-field flags")
     _add_problem_flags(swp, include_scheme=False)
     swp.add_argument("--k-values", type=_int_list, default=[10, 25, 50, 100])
     swp.add_argument("--seeds", type=int, default=20)
     swp.add_argument("--seed", type=int, default=0, help="seed base")
-    swp.add_argument("--couple-rng", action="store_true")
-    swp.add_argument("--eta", type=float, default=None,
-                     help="fixed step size (default: log(nk)/(lambda n k) for each k)")
+    swp.add_argument("--couple-rng", nargs=0, const=True, default=False)  # `store_true`
+    _add_eta_flag(swp)
     swp.add_argument("--out-dir", type=str, required=True)
     swp.add_argument("--jobs", type=int, default=None)
 
@@ -168,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args, parser) -> int:
     p, x0 = experiments.build_instance(args.construction, args.x0_preset, args.n, args.G,
                                        args.lam, args.lam_max)
-    eta = _resolve_eta(args, parser, args.n, args.k, args.lam)
+    eta = _resolve_eta(args)
     cfg = engine.RunConfig(scheme=args.scheme, eta=eta, epochs=args.k, x0=x0, seed=args.seed)
     traj = (engine.run_sgd if args.stepwise else engine.run_sgd_closed_form)(p, cfg)
     if args.out:
@@ -230,7 +224,7 @@ def _cmd_oracle(args, parser) -> int:
         tag = q.removeprefix("loss-")  # the scheme, and the construction unless given
         p, x0 = experiments.build_instance(args.construction or tag, args.x0_preset, args.n,
                                            args.G, args.lam, args.lam_max)
-        eta = _resolve_eta(args, parser, args.n, args.k, args.lam)
+        eta = _resolve_eta(args)
         label = experiments.SCHEME_STYLES[tag].label
         if args.method == "exact":
             if q == "loss-ss":
@@ -284,6 +278,9 @@ def _prepare_out_dir(path: str, force: bool, parser) -> None:
 
 
 def _cmd_sweep(args, parser) -> int:
+    given = [flag for dest, flag in args.given.items() if dest not in ("plan", "jobs", "out_dir")]
+    if args.plan and given:
+        parser.error("--plan reads every plan field from its file, not from " + ", ".join(given))
     experiments.check_jobs(args.jobs)
     if args.plan:
         with open(args.plan) as fh:

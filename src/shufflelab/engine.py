@@ -564,10 +564,11 @@ def sample_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
     return _fisher_yates(rng.integers(0, _fisher_yates_bounds(n, 1)))[0]
 
 
-def warn_caller(message: str) -> None:
-    """A RuntimeWarning at the first frame outside the package, as Python
-    3.12's `skip_file_prefixes` would place it, or at the package's entry
-    frame when that first frame is frozen start-up code (`python -m`)."""
+def warn_caller(message) -> None:
+    """A RuntimeWarning, or the given Warning instance, at the first frame
+    outside the package, as Python 3.12's `skip_file_prefixes` would place
+    it, or at the package's entry frame when that first frame is frozen
+    start-up code (`python -m`)."""
     frame, level = sys._getframe(1), 2
     while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
         frame, level = frame.f_back, level + 1
@@ -576,12 +577,14 @@ def warn_caller(message: str) -> None:
     warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
-def _warn_if_large_eta(p: Problem, eta: float):
-    """The one report of a divergent step size: its callers compute under
-    `np.errstate(over="ignore", invalid="ignore")`, so the inf and nan
-    iterates that follow raise no numpy warning of their own."""
-    if eta * p.smooth_l > 1.0 + 1e-12:
-        warn_caller(f"eta*L = {eta * p.smooth_l:.4g} > 1: contraction factors leave [0, 1]")
+def _divergence_guard(problems, eta: float) -> np.errstate:
+    """The one report of a divergent step size: a warning for each problem
+    with eta*L > 1, and the `np.errstate` its caller computes under, so the
+    inf and nan iterates that follow raise no numpy warning of their own."""
+    for p in problems:
+        if eta * p.smooth_l > 1.0 + 1e-12:
+            warn_caller(f"eta*L = {eta * p.smooth_l:.4g} > 1: contraction factors leave [0, 1]")
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def run_sgd(p: Problem, cfg: RunConfig) -> Trajectory:
@@ -592,13 +595,12 @@ def run_sgd(p: Problem, cfg: RunConfig) -> Trajectory:
     reshuffling draws a fresh permutation.
     """
     model._to_diag_frame(p, cfg.x0)  # shape check only: steps run in the outer frame
-    _warn_if_large_eta(p, cfg.eta)
     rng = np.random.default_rng(cfg.seed)
     fixed_perm = sample_permutation(p.n, rng) if cfg.scheme is Scheme.SINGLE_SHUFFLE else None
     x = cfg.x0.copy()
     points = np.empty((cfg.epochs, p.dim))
     losses = np.empty(cfg.epochs)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _divergence_guard([p], cfg.eta):
         for t in range(cfg.epochs):
             if cfg.scheme is Scheme.WITH_REPLACEMENT:
                 seq = rng.integers(0, p.n, size=p.n)
@@ -686,7 +688,7 @@ def _apply_maps(contraction: np.ndarray, noise: np.ndarray, y0: np.ndarray) -> n
     epochs innermost; more take one numpy step per epoch.  Both round the
     multiply, then the add, with no fused multiply-add, so the values are
     the same bit for bit, inf and nan included; the engine's entries compute
-    under `np.errstate`, so numpy's side warns no more than Python floats.
+    under `_divergence_guard`, so numpy's side warns no more than Python floats.
     """
     lanes = contraction[0].size
     if lanes < _SCALAR_WIDTH:
@@ -856,8 +858,7 @@ def run_sgd_closed_form(p: Problem, cfg: RunConfig) -> Trajectory:
     form.  Losses are evaluated on the diagonal-frame iterates.
     """
     y0 = model._to_diag_frame(p, cfg.x0)
-    _warn_if_large_eta(p, cfg.eta)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _divergence_guard([p], cfg.eta):
         chunks = [ys for _, (ys,) in _chunked_iterates([p], cfg.scheme, cfg.eta, cfg.epochs,
                                                        [y0], [cfg.seed])]
         ys = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
@@ -891,10 +892,8 @@ def final_losses(problems, scheme: Scheme, eta: float, k: int, x0s, seeds) -> np
     seeds = list(seeds)
     _check_run(eta, k, seeds)
     y0s = [model._to_diag_frame(p, x0) for p, x0 in zip(problems, x0s)]
-    for p in problems:
-        _warn_if_large_eta(p, eta)
     last = [np.empty((len(seeds), p.dim)) for p in problems]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _divergence_guard(problems, eta):
         for first, ys in _chunked_iterates(problems, scheme, eta, k, y0s, seeds):
             for out, part in zip(last, ys):
                 final = part[-1].reshape(-1, out.shape[1])  # a run's final chunk is written last

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, make_dataclass
@@ -221,6 +222,14 @@ def _run_cell(plans: Sequence[SweepPlan], scheme_tag: str, k: int) -> List[List[
             for row in losses]
 
 
+def _pooled_cell(plans: Sequence[SweepPlan], scheme_tag: str, k: int):
+    """`_run_cell` in a pool worker: (its records, the warnings it raised),
+    recorded whatever the worker's filters, so the parent issues them."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        return _run_cell(plans, scheme_tag, k), [w.message for w in caught]
+
+
 def summarize(records: Sequence[SweepRecord]) -> List[SweepSummary]:
     """Per-(scheme, k) mean and sample standard deviation of log10 loss."""
     groups: Dict[Tuple[str, int], List[float]] = {}
@@ -230,7 +239,8 @@ def summarize(records: Sequence[SweepRecord]) -> List[SweepSummary]:
     for scheme in SCHEME_ORDER:
         for (s, k) in sorted((g for g in groups if g[0] == scheme), key=lambda g: g[1]):
             vals = np.array(groups[(s, k)])
-            std = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
+            with np.errstate(invalid="ignore"):  # inf - inf: the engine reports divergence
+                std = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
             out.append(
                 SweepSummary(scheme=s, k=k, mean_log10_loss=float(np.mean(vals)),
                              std_log10_loss=std, n_seeds=int(vals.size))
@@ -276,7 +286,8 @@ def run_sweeps(plans: Sequence[SweepPlan], jobs: Optional[int] = None
     `engine.run_sgd_closed_form` call per run instead, with the same values.
     Cells parallelize over (scheme, k) and are submitted largest k first;
     aggregation reads results back in (scheme, k, seed) order, so neither
-    submission order nor worker scheduling changes the output.
+    submission order nor worker scheduling changes the output.  Pooled
+    cells return their warnings, and each distinct one is issued here once.
     """
     plans = list(plans)
     check_jobs(jobs)
@@ -294,9 +305,14 @@ def run_sweeps(plans: Sequence[SweepPlan], jobs: Optional[int] = None
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             # Largest k first, so the costliest cells do not start last and
             # set the finish; the stable sort keeps scheme order within a k.
-            futures = {t: pool.submit(_run_cell, plans, *t)
+            futures = {t: pool.submit(_pooled_cell, plans, *t)
                        for t in sorted(tasks, key=lambda t: -t[1])}
             cells = {t: futures[t].result() for t in tasks}
+        # each distinct warning once, from here, where the caller's filters apply
+        issued = {(type(m), str(m)): m for t in tasks for m in cells[t][1]}
+        for message in issued.values():
+            engine.warn_caller(message)
+        cells = {t: cells[t][0] for t in tasks}
     else:
         cells = {t: _run_cell(plans, *t) for t in tasks}
     out = []

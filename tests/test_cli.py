@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import shufflelab
-from shufflelab import analysis, bounds, calibrate, cli, experiments, model, verify
+from shufflelab import analysis, bounds, calibrate, cli, engine, experiments, model, verify
 
 
 def run_cli(capsys, *argv):
@@ -48,8 +48,8 @@ class TestDispatch:
         monkeypatch.setattr(experiments, "build_instance",
                             lambda construction, *rest: built.append(construction)
                             or real(construction, *rest))
-        assert run_cli(capsys, "oracle", "--quantity", quantity, "--auto-eta")[0] == 0
-        assert run_cli(capsys, "oracle", "--quantity", quantity, "--auto-eta",
+        assert run_cli(capsys, "oracle", "--quantity", quantity)[0] == 0
+        assert run_cli(capsys, "oracle", "--quantity", quantity,
                        "--construction", "rr")[0] == 0
         assert built == [quantity.removeprefix("loss-"), "rr"]
 
@@ -90,7 +90,7 @@ class TestSimulate:
     def test_auto_eta_runs(self, capsys, tmp_path):
         out_file = tmp_path / "traj.csv"
         code, out, _ = run_cli(
-            capsys, "simulate", "--construction", "ss", "--n", "8", "--auto-eta",
+            capsys, "simulate", "--construction", "ss", "--n", "8",
             "--k", "3", "--seed", "2", "--scheme", "ss", "--lambda-max", "2.0",
             "--out", str(out_file),
         )
@@ -104,10 +104,13 @@ class TestSimulate:
             cli.main(["simulate", "--scheme", "zz", "--eta", "0.1"])
         assert exc.value.code == 2
 
-    def test_missing_eta_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", "--construction", "ss"])
-        assert exc.value.code == 2
+    def test_missing_eta_is_the_recommended_rule(self, capsys):
+        args = ["simulate", "--construction", "ss", "--n", "10", "--k", "3", "--seed", "4",
+                "--lambda", "0.5", "--lambda-max", "4"]
+        eta = engine.recommended_eta(10, 3, 0.5)
+        code, out, _ = run_cli(capsys, *args)
+        assert (code, out) == run_cli(capsys, *args, "--eta", repr(eta))[:2]
+        assert code == 0 and out.startswith("final loss = ")
 
     @pytest.mark.parametrize("eta", ["nan", "inf"])
     def test_non_finite_eta_fails_before_any_run(self, capsys, eta):
@@ -119,7 +122,7 @@ class TestSimulate:
                                                    ("--lambda-max", "inf", "lam_max")])
     def test_non_finite_problem_parameter_fails(self, capsys, flag, value, name):
         code, out, err = run_cli(capsys, "simulate", "--construction", "ss", "--n", "10",
-                                 "--k", "3", "--auto-eta", flag, value)
+                                 "--k", "3", flag, value)
         assert (code, out, err) == (1, "", f"error: {name} must be finite, got {value}\n")
 
     def test_stepwise_matches_default_final_loss(self, capsys):
@@ -180,13 +183,6 @@ class TestOracle:
         assert code == 0
         assert "keyup = -0.5" in out
 
-    def test_eta_flags_are_exclusive(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["oracle", "--quantity", "loss-rr", "--n", "10", "--eta", "0.3",
-                      "--auto-eta"])
-        assert exc.value.code == 2
-        assert "not allowed with" in capsys.readouterr().err
-
     @pytest.mark.parametrize("quantity, flags, unread", [
         ("beta", ["--n", "4", "--eta", "0.3", "--k", "99", "--samples", "5", "--seed", "3",
                   "--G", "7"], "--eta, --k, --samples, --seed, --G"),
@@ -194,10 +190,10 @@ class TestOracle:
         ("beta", ["--k=5"], "--k"),
         ("perm-moment", ["--eta-lmax", "0.3"], "--eta-lmax"),
         ("sum-prod", ["--lambda-max", "2", "--lambda", "1"], "--lambda-max, --lambda"),
-        ("stochastic-terms", ["--auto-eta"], "--auto-eta"),
+        ("stochastic-terms", ["--eta", "0.3"], "--eta"),
         ("keyup", ["--alphas", "0.5,0.5", "--betas", "1,-1", "--n", "4"], "--n"),
-        ("loss-rr", ["--auto-eta", "--samples", "5"], "--samples"),
-        ("loss-ss", ["--auto-eta", "--m", "2", "--eta-lmax", "0.1"], "--m, --eta-lmax"),
+        ("loss-rr", ["--samples", "5"], "--samples"),
+        ("loss-ss", ["--m", "2", "--eta-lmax", "0.1"], "--m, --eta-lmax"),
     ])
     def test_a_flag_the_quantity_does_not_read_is_a_usage_error(self, capsys, quantity,
                                                                 flags, unread):
@@ -212,8 +208,8 @@ class TestOracle:
         ("sum-prod", ["--n", "100", "--eta-lmax", "0.005"], "sum-prod expectation"),
         ("stochastic-terms", ["--n", "100", "--eta-lmax", "0.005"],
          "stochastic-terms expectation"),
-        ("loss-rr", ["--n", "18", "--auto-eta"], "E[F(x_k)] random reshuffling"),
-        ("loss-ss", ["--n", "500", "--k", "40", "--auto-eta", "--lambda-max", "200"],
+        ("loss-rr", ["--n", "18"], "E[F(x_k)] random reshuffling"),
+        ("loss-ss", ["--n", "500", "--k", "40", "--lambda-max", "200"],
          "E[F(x_k)] single shuffling"),
     ])
     def test_scanning_quantities_take_n_past_the_cap(self, capsys, quantity, flags, label):
@@ -249,7 +245,7 @@ class TestOracle:
 
     def test_exact_loss_rejects_non_finite_G(self, capsys):
         code, out, err = run_cli(capsys, "oracle", "--quantity", "loss-rr", "--n", "10",
-                                 "--k", "3", "--auto-eta", "--G", "nan")
+                                 "--k", "3", "--G", "nan")
         assert (code, out, err) == (1, "", "error: G must be finite, got nan\n")
 
     def test_exact_loss_warns_on_large_eta(self, capsys):
@@ -264,7 +260,7 @@ class TestOracle:
     def test_loss_labels_are_the_scheme_labels(self, capsys, quantity, label):
         assert experiments.SCHEME_STYLES[quantity.removeprefix("loss-")].label == label
         code, out, _ = run_cli(capsys, "oracle", "--quantity", quantity, "--n", "10",
-                               "--k", "3", "--auto-eta", "--lambda-max", "4")
+                               "--k", "3", "--lambda-max", "4")
         assert code == 0 and out.startswith(f"E[F(x_k)] {label} = ")
 
     def test_perm_moment_is_not_capped(self, capsys):
@@ -280,7 +276,7 @@ class TestOracle:
 
     def test_loss_rr_exact_vs_mc(self, capsys):
         base = ["oracle", "--quantity", "loss-rr", "--n", "10", "--k", "3",
-                "--auto-eta", "--lambda-max", "4.0"]
+                "--lambda-max", "4.0"]
         code, out, _ = run_cli(capsys, *base)
         assert code == 0
         exact = float(out.split("=")[-1])
@@ -410,7 +406,7 @@ class TestSweepCommand:
         assert (code, err) == (1, "error: seed must be nonnegative, got -1\n")
         assert not out_dir.exists()
         code, _, err = run_cli(capsys, "oracle", "--quantity", "loss-rr", "--n", "10",
-                               "--k", "3", "--auto-eta", "--method", "monte-carlo",
+                               "--k", "3", "--method", "monte-carlo",
                                "--samples", "10", "--seed", "-1")
         assert (code, err) == (1, "error: seed must be nonnegative, got -1\n")
 
@@ -424,13 +420,32 @@ class TestSweepCommand:
         assert (code, out, err) == (1, "", f"error: jobs must be >= 1, got {jobs}\n")
         assert not out_dir.exists()
 
-    def test_auto_eta_is_a_usage_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("argv", [["simulate", "--out", "traj.csv"],
+                                      ["oracle", "--quantity", "loss-rr", "--out", "oracle.csv"],
+                                      ["sweep", "--seeds", "2", "--out-dir", "out"]],
+                             ids=["simulate", "oracle", "sweep"])
+    def test_auto_eta_is_a_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            cli.main(["sweep", "--construction", "ss", "--n", "8", "--k-values", "1,2",
-                      "--seeds", "2", "--auto-eta", "--out-dir", str(tmp_path / "out")])
+            cli.main([*argv, "--auto-eta"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --auto-eta" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert not os.listdir(tmp_path)
+
+    def test_plan_field_flags_under_plan_are_a_usage_error(self, capsys, tmp_path):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(self.PLAN))
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--plan", str(plan_path), "--n", "50", "--seeds", "9",
+                      "--construction", "ss", "--couple-rng", "--jobs", "1",
+                      "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(
+            "--plan reads every plan field from its file, not from "
+            "--n, --seeds, --construction, --couple-rng\n")
+        assert not out_dir.exists()
 
     def test_epochs_below_one_fail_before_any_work(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
@@ -534,7 +549,7 @@ class TestOracleCsvExport:
                             lambda rows, *rest: written.extend(rows) or real(rows, *rest))
         out = tmp_path / "oracle.csv"
         code, _, _ = run_cli(capsys, "oracle", "--quantity", "loss-ss", "--n", "6", "--k", "2",
-                             "--auto-eta", *method, "--out", str(out))
+                             *method, "--out", str(out))
         assert code == 0 and len(written) == 1
         assert experiments._read_csv(out, analysis.OracleRow) == written
 

@@ -820,10 +820,17 @@ class TestWarningLocation:
             p, 0.5, 2, np.zeros(3)),
         "expected_loss_ss_exact": lambda p: analysis.expected_loss_ss_exact(
             p, 0.5, 2, np.zeros(3)),
-        # k = 1 violates an assumption clause, and the recommended eta has eta*L > 1
-        "run_sweep": lambda p: experiments.run_sweep(experiments.SweepPlan(
+        # k = 1 violates an assumption clause, and the recommended eta has
+        # eta*L > 1; at jobs = 2 the pooled cells return their warnings, and
+        # the parent issues them
+        **{name: lambda p, jobs=jobs: experiments.run_sweep(experiments.SweepPlan(
             construction="ss", n=8, G=1.0, lam=1.0, lam_max=4.0, k_values=(1,), seeds=1),
-            jobs=1),
+            jobs=jobs) for name, jobs in (("run_sweep", 1), ("run_sweep-jobs2", 2))},
+        # eta = 5 (eta*L = 20) at k = 30: every loss is inf, so the spread of
+        # a cell's log10 losses is inf - inf
+        "run_sweep-divergent-inf": lambda p: experiments.run_sweep(experiments.SweepPlan(
+            construction="rr", n=10, G=1.0, lam=1.0, lam_max=4.0, k_values=(30,), seeds=3,
+            eta_rule=5.0), jobs=1),
         # eta = 1 (eta*L = 4) over k = 300 epochs from a non-zero start: the
         # iterates overflow to inf and nan, which the eta*L warning reports
         "run_sgd-divergent": lambda p: run_sgd(
@@ -849,6 +856,13 @@ class TestWarningLocation:
         with pytest.warns(RuntimeWarning) as record:
             self.CALLS[name](self.large_eta_problem())
         assert {w.filename for w in record} == {__file__}
+        assert any(str(w.message).startswith("eta*L = ") for w in record)
+
+    def test_pooled_cells_warn_once_each(self):
+        with pytest.warns(RuntimeWarning) as record:
+            self.CALLS["run_sweep-jobs2"](None)
+        messages = [str(w.message) for w in record]
+        assert len(messages) == len(set(messages)) == 2  # eta*L and the assumption clauses
 
 
 class TestTailProducts:
